@@ -443,13 +443,40 @@ func (fr *FrameReader) ExpectFrame(want byte) ([]byte, error) {
 		return nil, err
 	}
 	if got != want {
-		if got == FrameError {
-			return nil, fmt.Errorf("wire: remote error: %s", payload)
-		}
-		if got == FrameBusy {
-			return nil, DecodeBusy(payload)
-		}
-		return nil, fmt.Errorf("wire: expected frame %s, got %s", FrameName(want), FrameName(got))
+		return nil, unexpectedFrame(got, want, payload)
 	}
 	return payload, nil
+}
+
+// ExpectFrameAfter reads the frame want, optionally preceded by one frame of
+// type optional (an extension grant riding in the same flush). opt is the
+// optional frame's payload, nil when it was absent; ERROR, BUSY and wrong
+// frames fail as in ExpectFrame.
+func (fr *FrameReader) ExpectFrameAfter(optional, want byte) (opt, payload []byte, err error) {
+	got, payload, err := fr.ReadFrame()
+	if err != nil {
+		return nil, nil, err
+	}
+	if got == optional {
+		opt = payload
+		if got, payload, err = fr.ReadFrame(); err != nil {
+			return nil, nil, err
+		}
+	}
+	if got != want {
+		return nil, nil, unexpectedFrame(got, want, payload)
+	}
+	return opt, payload, nil
+}
+
+// unexpectedFrame is the error for receiving frame got in place of want: the
+// remote's message for ERROR, a *BusyError for BUSY.
+func unexpectedFrame(got, want byte, payload []byte) error {
+	switch got {
+	case FrameError:
+		return fmt.Errorf("wire: remote error: %s", payload)
+	case FrameBusy:
+		return DecodeBusy(payload)
+	}
+	return fmt.Errorf("wire: expected frame %s, got %s", FrameName(want), FrameName(got))
 }

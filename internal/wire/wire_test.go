@@ -149,6 +149,50 @@ func TestExpectFrame(t *testing.T) {
 	}
 }
 
+func TestExpectFrameAfter(t *testing.T) {
+	read := func(frames ...[]byte) *FrameReader {
+		var buf bytes.Buffer
+		fw := NewFrameWriter(&buf)
+		for _, f := range frames {
+			fw.WriteFrame(f[0], f[1:])
+		}
+		fw.Flush()
+		return NewFrameReader(&buf)
+	}
+	frame := func(t byte, payload string) []byte { return append([]byte{t}, payload...) }
+
+	// Optional frame present: both payloads come back.
+	opt, p, err := read(frame(FrameMuxAck, "grant"), frame(FrameVerdicts, "v")).ExpectFrameAfter(FrameMuxAck, FrameVerdicts)
+	if err != nil || string(opt) != "grant" || string(p) != "v" {
+		t.Fatalf("present: opt=%q p=%q err=%v", opt, p, err)
+	}
+	// Optional frame absent: opt is nil.
+	opt, p, err = read(frame(FrameVerdicts, "v")).ExpectFrameAfter(FrameMuxAck, FrameVerdicts)
+	if err != nil || opt != nil || string(p) != "v" {
+		t.Fatalf("absent: opt=%q p=%q err=%v", opt, p, err)
+	}
+	// ERROR surfaces the remote message.
+	if _, _, err := read(frame(FrameError, "boom")).ExpectFrameAfter(FrameMuxAck, FrameVerdicts); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("error: err = %v", err)
+	}
+	// BUSY decodes to a *BusyError carrying the hint.
+	_, _, err = read(append([]byte{FrameBusy}, EncodeBusy(2*time.Second)...)).ExpectFrameAfter(FrameTreeAck, FrameTree)
+	var busy *BusyError
+	if !errors.As(err, &busy) || busy.RetryAfter != 2*time.Second {
+		t.Fatalf("busy: err = %v", err)
+	}
+	// A wrong frame, after the optional one or in its place, names both.
+	for _, r := range []*FrameReader{
+		read(frame(FrameDone, "")),
+		read(frame(FrameTreeAck, "g"), frame(FrameDone, "")),
+	} {
+		if _, _, err := r.ExpectFrameAfter(FrameTreeAck, FrameTree); err == nil ||
+			!strings.Contains(err.Error(), "DONE") || !strings.Contains(err.Error(), "TREE") {
+			t.Fatalf("wrong frame: err = %v", err)
+		}
+	}
+}
+
 func TestFrameTooLarge(t *testing.T) {
 	// Craft a header declaring an absurd size.
 	var buf bytes.Buffer
