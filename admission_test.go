@@ -116,9 +116,11 @@ func TestAdmissionSwarm(t *testing.T) {
 // the server's configured hint.
 func TestBusySurfacesAsTypedError(t *testing.T) {
 	serverFiles, clientFiles := sessionFiles()
+	reg := msync.NewMetricsRegistry()
 	srv, err := msync.NewServer(serverFiles, msync.DefaultConfig(),
 		msync.WithMaxSessions(1),
-		msync.WithBusyRetryAfter(250*time.Millisecond))
+		msync.WithBusyRetryAfter(250*time.Millisecond),
+		msync.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestBusySurfacesAsTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pin.Close()
-	waitForGauge(t, srv, l.Addr().String())
+	waitForAdmitted(t, reg)
 
 	_, err = msync.NewClient(clientFiles).SyncTCP(l.Addr().String())
 	if err == nil {
@@ -150,26 +152,19 @@ func TestBusySurfacesAsTypedError(t *testing.T) {
 	}
 }
 
-// waitForGauge blocks until the pinned connection above actually occupies
-// the session slot (admission happens on the server's goroutine).
-func waitForGauge(t *testing.T, srv *msync.Server, addr string) {
+// waitForAdmitted blocks until the server admitted a session into its slot:
+// the pinned connection, the only one dialed so far. Probing with a second
+// dial instead would race the pin, since admission runs on per-connection
+// goroutines: the probe could take the slot and the pin be shed.
+func waitForAdmitted(t *testing.T, reg *msync.MetricsRegistry) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		// A second idle dial that gets BUSY proves the slot is taken.
-		c, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+	for reg.Snapshot().Counters[obs.MetricSessionsAdmitted] < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("session slot never became occupied")
 		}
-		c.SetReadDeadline(time.Now().Add(time.Second))
-		typ, _, err := wire.NewFrameReader(c).ReadFrame()
-		c.Close()
-		if err == nil && typ == wire.FrameBusy {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatal("session slot never became occupied")
 }
 
 // tempAcceptErr simulates the transient failures (EMFILE, ECONNABORTED)
