@@ -8,7 +8,7 @@ FUZZ_PKGS = ./internal/wire ./internal/delta ./internal/huffman \
 	./internal/collection ./internal/rsync ./internal/vcdiff \
 	./internal/merkle ./internal/pubsig ./internal/cdc
 
-.PHONY: all build test vet race check fuzz-smoke bench bench-cache bench-store bench-mux bench-manifest bench-pub bench-cdc api api-check clean
+.PHONY: all build test vet race check fuzz-smoke bench bench-cache bench-store bench-mux bench-manifest bench-pub bench-cdc api api-check loc clean
 
 all: check
 
@@ -108,6 +108,13 @@ bench-cdc:
 # corpus, with wall-clock modeled at 50–200 ms RTT (see internal/bench/mux.go).
 bench-mux:
 	$(GO) run ./cmd/msbench -mux-json BENCH_mux.json
+
+# loc prints the non-test Go line count, repo-wide and for the collection
+# package; the benchmark module (perfbench/) and its build tree are excluded.
+GO_SRC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*'
+loc:
+	@echo "non-test Go lines: $$($(call GO_SRC,.) | xargs cat | wc -l) repo-wide," \
+		"$$($(call GO_SRC,internal/collection) | xargs cat | wc -l) in internal/collection"
 
 clean:
 	$(GO) clean ./...

@@ -55,7 +55,9 @@ func decodeManifest(p []byte) ([]ManifestEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ManifestEntry, 0, n)
+	// An entry takes at least 2+md4.Size bytes, so the declared count cannot
+	// size an allocation beyond what the payload can hold.
+	out := make([]ManifestEntry, 0, min(n, uint64(pr.Remaining()/(2+md4.Size))))
 	for i := uint64(0); i < n; i++ {
 		var e ManifestEntry
 		if e.Path, err = pr.String(); err != nil {

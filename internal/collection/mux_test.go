@@ -15,6 +15,7 @@ import (
 	"msync/internal/pool"
 	"msync/internal/stats"
 	"msync/internal/transport"
+	"msync/internal/wire"
 )
 
 func TestMuxPartition(t *testing.T) {
@@ -178,6 +179,58 @@ func TestMuxMatrixDeterminism(t *testing.T) {
 					serverCosts.Roundtrips, base.Roundtrips)
 			}
 		}
+	}
+}
+
+// TestMuxFullFallback: engines whose whole-file check fails inside
+// multiplexed streams get their FULL transfers in stream frames, and the
+// session converges with both sides' accounting in agreement at every
+// worker count.
+func TestMuxFullFallback(t *testing.T) {
+	pool.SetParallelism(8)
+	defer pool.SetParallelism(0)
+	cfg, v1, v2 := weakVerifyTrees()
+	for _, workers := range []int{1, 8} {
+		ring := obs.NewRing(8192)
+		res, serverCosts := muxSession(t, v2, v1, cfg, 4, workers,
+			func(s *Server, c *Client) { c.Tracer = ring })
+		if err := VerifyAgainst(res.Files, v2); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if streamSpans(ring) == 0 {
+			t.Fatalf("workers=%d: no stream spans — mux path not taken", workers)
+		}
+		if serverCosts.FilesFull == 0 || res.Costs.FilesFull != serverCosts.FilesFull {
+			t.Fatalf("workers=%d: full transfers client %d, server %d; want equal and > 0",
+				workers, res.Costs.FilesFull, serverCosts.FilesFull)
+		}
+		for _, d := range []stats.Direction{stats.C2S, stats.S2C} {
+			for p := stats.Phase(0); p <= stats.PhaseFull; p++ {
+				if res.Costs.Bytes(d, p) != serverCosts.Bytes(d, p) {
+					t.Fatalf("workers=%d: direction %v phase %v disagrees: %d vs %d",
+						workers, d, p, res.Costs.Bytes(d, p), serverCosts.Bytes(d, p))
+				}
+			}
+		}
+		if res.Costs.Roundtrips != serverCosts.Roundtrips {
+			t.Fatalf("workers=%d: roundtrips disagree: %d vs %d",
+				workers, res.Costs.Roundtrips, serverCosts.Roundtrips)
+		}
+	}
+}
+
+// TestPeerCountsBoundAllocation: an entry count declared far beyond what
+// the payload holds fails the decode instead of sizing an allocation by it.
+func TestPeerCountsBoundAllocation(t *testing.T) {
+	huge := wire.AppendUvarint(nil, 1<<40)
+	if _, err := parseIndexed(huge, 4); err == nil {
+		t.Fatal("parseIndexed accepted a truncated per-file frame")
+	}
+	if _, err := parseAck(huge, 4); err == nil {
+		t.Fatal("parseAck accepted a truncated ACK")
+	}
+	if _, err := decodeManifest(huge); err == nil {
+		t.Fatal("decodeManifest accepted a truncated manifest")
 	}
 }
 
