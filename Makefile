@@ -110,11 +110,14 @@ bench-mux:
 	$(GO) run ./cmd/msbench -mux-json BENCH_mux.json
 
 # loc prints the non-test Go line count, repo-wide and for the collection
-# package; the benchmark module (perfbench/) and its build tree are excluded.
+# package, then per package directory; the benchmark module (perfbench/) and
+# its build tree are excluded.
 GO_SRC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*'
 loc:
 	@echo "non-test Go lines: $$($(call GO_SRC,.) | xargs cat | wc -l) repo-wide," \
 		"$$($(call GO_SRC,internal/collection) | xargs cat | wc -l) in internal/collection"
+	@$(call GO_SRC,.) | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -k2
 
 clean:
 	$(GO) clean ./...

@@ -29,15 +29,27 @@ func main() {
 		seed      = flag.Int64("seed", 42, "corpus seed")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		scanJSON  = flag.String("scan-json", "", "write the parallel.scan report as JSON to this file and exit")
-		cacheJSON = flag.String("cache-json", "", "write the cache.sync (repeat-sync signature cache) report as JSON to this file and exit")
-		storeJSON = flag.String("store-json", "", "write the store.journal (versioned store, journal fast path) report as JSON to this file and exit")
-		muxJSON   = flag.String("mux-json", "", "write the mux.pipeline (multiplexed streams vs per-file/lockstep sessions) report as JSON to this file and exit")
-		manJSON   = flag.String("manifest-json", "", "write the manifest.scaling (flat vs merkle-tree change detection, cross-file matching) report as JSON to this file and exit")
-		pubJSON   = flag.String("pub-json", "", "write the pub.fanout (published artifacts vs interactive protocol under N readers) report as JSON to this file and exit")
-		cdcJSON   = flag.String("cdc-json", "", "write the cdc.map (CDC vs halving map construction on adversarial corpora) report as JSON to this file and exit")
 		cacheMode = flag.String("cache", "off", "signature-cache condition for parallel.scan: off, cold or warm (never changes wire bytes)")
 	)
+	// Each -*-json flag writes one report (a BENCH_*.json artifact) and
+	// exits; when several are set, the first in this table wins.
+	reports := []struct{ flag, experiment, about string }{
+		{"scan-json", "parallel.scan", ""},
+		{"cache-json", "cache.sync", "repeat-sync signature cache"},
+		{"store-json", "store.journal", "versioned store, journal fast path"},
+		{"mux-json", "mux.pipeline", "multiplexed streams vs per-file/lockstep sessions"},
+		{"manifest-json", "manifest.scaling", "flat vs merkle-tree change detection, cross-file matching"},
+		{"pub-json", "pub.fanout", "published artifacts vs interactive protocol under N readers"},
+		{"cdc-json", "cdc.map", "CDC vs halving map construction on adversarial corpora"},
+	}
+	reportPaths := make([]*string, len(reports))
+	for i, r := range reports {
+		what := r.experiment
+		if r.about != "" {
+			what += " (" + r.about + ")"
+		}
+		reportPaths[i] = flag.String(r.flag, "", "write the "+what+" report as JSON to this file and exit")
+	}
 	flag.Parse()
 
 	if pool.Parallelism() == 1 {
@@ -55,44 +67,20 @@ func main() {
 	}
 	opts := bench.Options{Scale: *scale, Seed: *seed, CacheMode: *cacheMode}
 
-	writeReport := func(path string, gen func(bench.Options) ([]byte, error)) {
-		out, err := gen(opts)
+	for i, r := range reports {
+		path := *reportPaths[i]
+		if path == "" {
+			continue
+		}
+		out, err := bench.ReportJSON(r.experiment, opts)
+		if err == nil {
+			err = os.WriteFile(path, out, 0o644)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := os.WriteFile(path, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		fmt.Printf("wrote %s\n", path)
-	}
-	if *scanJSON != "" {
-		writeReport(*scanJSON, bench.ScanJSON)
-		return
-	}
-	if *cacheJSON != "" {
-		writeReport(*cacheJSON, bench.CacheJSON)
-		return
-	}
-	if *storeJSON != "" {
-		writeReport(*storeJSON, bench.StoreJSON)
-		return
-	}
-	if *muxJSON != "" {
-		writeReport(*muxJSON, bench.MuxJSON)
-		return
-	}
-	if *manJSON != "" {
-		writeReport(*manJSON, bench.ManifestJSON)
-		return
-	}
-	if *pubJSON != "" {
-		writeReport(*pubJSON, bench.PubJSON)
-		return
-	}
-	if *cdcJSON != "" {
-		writeReport(*cdcJSON, bench.CDCJSON)
 		return
 	}
 

@@ -6,9 +6,17 @@
 // see DESIGN.md §3 for the experiment index. Absolute numbers differ from
 // the paper (synthetic corpora, our own delta coder — see the substitutions
 // table), but the comparative shape is the reproduction target.
+//
+// Every in-process collection session, in the tables and in the JSON
+// reports (BENCH_*.json, rendered by ReportJSON), runs through runSession.
+// It fails a run whose Costs, on either end, differ from the bytes the pipe
+// carried in a direction, or whose ends disagree on roundtrips. Each arm
+// builds its own server and client and checks convergence with
+// collection.VerifyAgainst, which compares every file byte for byte.
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -329,6 +337,36 @@ var registry = map[string]func(Options) *Table{
 	"parallel.scan":   ParallelScan,
 	"cache.sync":      CacheSync,
 	"cdc.map":         CDCMap,
+}
+
+// reports maps each JSON report's experiment id (its "experiment" field) to
+// the measurement behind it.
+var reports = map[string]func(Options) (any, error){
+	"parallel.scan":    func(o Options) (any, error) { return measureScan(o) },
+	"cache.sync":       func(o Options) (any, error) { return measureCache(o) },
+	"store.journal":    func(o Options) (any, error) { return measureStore(o) },
+	"mux.pipeline":     func(o Options) (any, error) { return measureMux(o) },
+	"manifest.scaling": func(o Options) (any, error) { return measureManifest(o) },
+	"pub.fanout":       func(o Options) (any, error) { return measurePub(o) },
+	"cdc.map":          func(o Options) (any, error) { return measureCDC(o) },
+}
+
+// ReportJSON runs the experiment behind one JSON report (a BENCH_*.json
+// artifact) and renders the report as indented JSON.
+func ReportJSON(experiment string, opts Options) ([]byte, error) {
+	measure, ok := reports[experiment]
+	if !ok {
+		return nil, fmt.Errorf("bench: no JSON report for experiment %q", experiment)
+	}
+	rep, err := measure(opts)
+	if err != nil {
+		return nil, err
+	}
+	out, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(out, '\n'), nil
 }
 
 // Run executes one experiment by id.

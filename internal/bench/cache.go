@@ -2,14 +2,11 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"time"
 
 	"msync/internal/collection"
@@ -19,7 +16,6 @@ import (
 	"msync/internal/obs"
 	"msync/internal/sigcache"
 	"msync/internal/stats"
-	"msync/internal/transport"
 )
 
 // Reference shape of the repeated-sync experiment at Scale 1.0: a tree large
@@ -31,36 +27,9 @@ const (
 
 // cacheRun is one measured repeat synchronization of an unchanged tree.
 type cacheRun struct {
-	secs        float64 // source construction + whole session wall-clock
-	bytesHashed int64   // both sides: manifest + block-level hashing
-	blockHashes int64   // both sides: block/probe hashes computed
-	cacheHits   int64
-	cacheMisses int64
+	*sessionRun        // secs cover source construction + the whole session
 	mallocs     uint64 // heap allocations during the run (both sides)
-	wireBytes   int64
-	c2s, s2c    []byte      // raw byte streams, for cross-mode comparison
-	events      []obs.Event // per-phase spans from both sides' session traces
-}
-
-// recordEnd wraps one pipe end, copying everything written through it (one
-// direction of the session) so runs can be compared byte for byte.
-type recordEnd struct {
-	io.ReadWriteCloser
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (r *recordEnd) Write(p []byte) (int, error) {
-	r.mu.Lock()
-	r.buf.Write(p)
-	r.mu.Unlock()
-	return r.ReadWriteCloser.Write(p)
-}
-
-func (r *recordEnd) bytesWritten() []byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]byte(nil), r.buf.Bytes()...)
+	events      []obs.Event
 }
 
 // runCacheSync opens both trees, builds their sources over the given caches
@@ -95,46 +64,13 @@ func runCacheSync(serverDir, clientDir string, serverCache, clientCache *sigcach
 	srv.Tracer = ring
 	cli.Tracer = ring
 
-	a, b := transport.Pipe()
-	sEnd := &recordEnd{ReadWriteCloser: a}
-	cEnd := &recordEnd{ReadWriteCloser: b}
-	done := make(chan *stats.Costs, 1)
-	errc := make(chan error, 1)
-	go func() {
-		defer a.Close()
-		costs, err := srv.Serve(sEnd)
-		if err != nil {
-			errc <- err
-			return
-		}
-		done <- costs
-	}()
-	res, err := cli.Sync(cEnd)
-	b.Close()
+	s, err := runSession(srv, cli)
 	if err != nil {
-		return nil, fmt.Errorf("bench: cache client: %w", err)
+		return nil, fmt.Errorf("bench: cache: %w", err)
 	}
-	var srvCosts *stats.Costs
-	select {
-	case srvCosts = <-done:
-	case err := <-errc:
-		return nil, fmt.Errorf("bench: cache server: %w", err)
-	}
-
-	r := &cacheRun{secs: time.Since(start).Seconds()}
+	s.secs = time.Since(start).Seconds()
 	runtime.ReadMemStats(&ms1)
-	r.mallocs = ms1.Mallocs - ms0.Mallocs
-	for _, c := range []*stats.Costs{srvCosts, res.Costs} {
-		r.bytesHashed += c.BytesHashed
-		r.blockHashes += c.BlockHashesComputed
-		r.cacheHits += c.CacheHits
-		r.cacheMisses += c.CacheMisses
-	}
-	r.s2c = sEnd.bytesWritten()
-	r.c2s = cEnd.bytesWritten()
-	r.wireBytes = int64(len(r.s2c) + len(r.c2s))
-	r.events = ring.Events()
-	return r, nil
+	return &cacheRun{sessionRun: s, mallocs: ms1.Mallocs - ms0.Mallocs, events: ring.Events()}, nil
 }
 
 // writeCacheTree materializes the experiment tree under dir.
@@ -213,24 +149,8 @@ func measureCache(opts Options) (*CacheReport, error) {
 	cfg := bestConfig()
 
 	const reps = 4 // first run of each mode is a warm-up for the OS page cache
-	best := func(run func(rep int) (*cacheRun, error)) (*cacheRun, error) {
-		var b *cacheRun
-		for rep := 0; rep < reps; rep++ {
-			r, err := run(rep)
-			if err != nil {
-				return nil, err
-			}
-			if rep == 0 {
-				continue
-			}
-			if b == nil || r.secs < b.secs {
-				b = r
-			}
-		}
-		return b, nil
-	}
 
-	off, err := best(func(int) (*cacheRun, error) {
+	off, err := bestOf(reps, func(int) (*cacheRun, error) {
 		return runCacheSync(serverDir, clientDir, nil, nil, cfg)
 	})
 	if err != nil {
@@ -242,7 +162,7 @@ func measureCache(opts Options) (*CacheReport, error) {
 	cacheDir := func(rep int, side string) string {
 		return filepath.Join(root, fmt.Sprintf("cache-%d-%s", rep, side))
 	}
-	cold, err := best(func(rep int) (*cacheRun, error) {
+	cold, err := bestOf(reps, func(rep int) (*cacheRun, error) {
 		sc := sigcache.New(sigcache.Options{Dir: cacheDir(rep, "server")})
 		cc := sigcache.New(sigcache.Options{Dir: cacheDir(rep, "client")})
 		return runCacheSync(serverDir, clientDir, sc, cc, cfg)
@@ -253,7 +173,7 @@ func measureCache(opts Options) (*CacheReport, error) {
 
 	// Warm: fresh Cache instances over rep 0's populated directories, so
 	// hits come through the on-disk store the way a new process would see it.
-	warm, err := best(func(int) (*cacheRun, error) {
+	warm, err := bestOf(reps, func(int) (*cacheRun, error) {
 		sc := sigcache.New(sigcache.Options{Dir: cacheDir(0, "server")})
 		cc := sigcache.New(sigcache.Options{Dir: cacheDir(0, "client")})
 		return runCacheSync(serverDir, clientDir, sc, cc, cfg)
@@ -274,15 +194,18 @@ func measureCache(opts Options) (*CacheReport, error) {
 		mode string
 		r    *cacheRun
 	}{{"off", off}, {"cold", cold}, {"warm", warm}} {
+		var both stats.Costs
+		both.Merge(p.r.server)
+		both.Merge(p.r.client)
 		pt := CachePoint{
 			Mode:          p.mode,
 			Secs:          p.r.secs,
-			BytesHashed:   p.r.bytesHashed,
-			BlockHashes:   p.r.blockHashes,
-			CacheHits:     p.r.cacheHits,
-			CacheMisses:   p.r.cacheMisses,
+			BytesHashed:   both.BytesHashed,
+			BlockHashes:   both.BlockHashesComputed,
+			CacheHits:     both.CacheHits,
+			CacheMisses:   both.CacheMisses,
 			Mallocs:       p.r.mallocs,
-			WireBytes:     p.r.wireBytes,
+			WireBytes:     p.r.wire(),
 			WireIdentical: bytes.Equal(p.r.s2c, off.s2c) && bytes.Equal(p.r.c2s, off.c2s),
 			Trace:         summarizeTrace(p.r.events, "client"),
 		}
@@ -292,19 +215,6 @@ func measureCache(opts Options) (*CacheReport, error) {
 		rep.Points = append(rep.Points, pt)
 	}
 	return rep, nil
-}
-
-// CacheJSON runs the repeated-sync experiment and renders BENCH_cache.json.
-func CacheJSON(opts Options) ([]byte, error) {
-	rep, err := measureCache(opts)
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // CacheSync is the table view of the repeated-sync experiment for the

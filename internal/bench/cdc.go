@@ -1,14 +1,11 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"msync/internal/collection"
 	"msync/internal/core"
 	"msync/internal/corpus"
-	"msync/internal/stats"
-	"msync/internal/transport"
 )
 
 // The bench-cdc matrix: halving vs CDC map construction over the adversarial
@@ -75,9 +72,9 @@ type CDCReport struct {
 	Note       string              `json:"note"`
 }
 
-// runCDCArm syncs v1 toward v2 over a pipe in the given mode and returns the
-// measured arm. The convergence check compares the full reconstructed
-// collection, so a mode that corrupted even one byte cannot win a row.
+// runCDCArm syncs v1 toward v2 in the given mode and returns the measured
+// arm. The convergence check compares the full reconstructed collection, so
+// a mode that corrupted even one byte cannot win a row.
 func runCDCArm(v1, v2 *corpus.Tree, mode core.MapMode) (cdcArm, error) {
 	arm := cdcArm{Mode: mode.String()}
 	srv, err := collection.NewServer(v2.Map(), core.DefaultConfig())
@@ -86,35 +83,15 @@ func runCDCArm(v1, v2 *corpus.Tree, mode core.MapMode) (cdcArm, error) {
 	}
 	cli := collection.NewClient(v1.Map())
 	cli.MapMode = mode
-
-	a, b := transport.Pipe()
-	done := make(chan *stats.Costs, 1)
-	errc := make(chan error, 1)
-	go func() {
-		defer a.Close()
-		costs, err := srv.Serve(a)
-		if err != nil {
-			errc <- err
-			return
-		}
-		done <- costs
-	}()
-	res, err := cli.Sync(b)
-	b.Close()
+	r, err := runSession(srv, cli)
 	if err != nil {
-		return arm, fmt.Errorf("bench: cdc client (%s): %w", mode, err)
+		return arm, fmt.Errorf("bench: cdc (%s): %w", mode, err)
 	}
-	select {
-	case <-done:
-	case err := <-errc:
-		return arm, fmt.Errorf("bench: cdc server (%s): %w", mode, err)
-	}
-
-	arm.WireBytes = res.Costs.Total()
-	arm.Roundtrip = res.Costs.Roundtrips
-	arm.FilesCDC = res.Costs.FilesCDC
-	arm.CDCChunks = res.Costs.CDCChunks
-	arm.Converged = collection.VerifyAgainst(res.Files, v2.Map()) == nil
+	arm.WireBytes = r.client.Total()
+	arm.Roundtrip = r.client.Roundtrips
+	arm.FilesCDC = r.client.FilesCDC
+	arm.CDCChunks = r.client.CDCChunks
+	arm.Converged = collection.VerifyAgainst(r.result.Files, v2.Map()) == nil
 	return arm, nil
 }
 
@@ -157,19 +134,6 @@ func measureCDC(opts Options) (*CDCReport, error) {
 		rep.Scenarios = append(rep.Scenarios, row)
 	}
 	return rep, nil
-}
-
-// CDCJSON runs the halving-vs-CDC matrix and renders BENCH_cdc.json.
-func CDCJSON(opts Options) ([]byte, error) {
-	rep, err := measureCDC(opts)
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // CDCMap is the table view of the matrix for the msbench sweep.

@@ -10,7 +10,6 @@ import (
 	"msync/internal/corpus"
 	"msync/internal/gtest"
 	"msync/internal/stats"
-	"msync/internal/transport"
 )
 
 // figMinBlocks is the minimum-block-size sweep of Figures 6.1/6.2.
@@ -173,8 +172,8 @@ func Table62(opts Options) *Table {
 		full := fullCosts(pairs)
 		rs := rsyncCosts(pairs, 700)
 		dl := deltaCosts(pairs)
-		ms := collectionCosts(base, newer, bestConfig())
-		msBasic := collectionCosts(base, newer, core.BasicConfig())
+		ms := collectionCosts(base.Map(), newer.Map(), bestConfig(), false)
+		msBasic := collectionCosts(base.Map(), newer.Map(), core.BasicConfig(), false)
 
 		t.Rows = append(t.Rows, Row{
 			Name: fmt.Sprintf("sync every %d night(s)", days),
@@ -193,29 +192,23 @@ func Table62(opts Options) *Table {
 	return t
 }
 
-// collectionCosts runs a real collection session over an in-memory pipe.
-func collectionCosts(oldTree, newTree *corpus.Tree, cfg core.Config) stats.Costs {
-	srv, err := collection.NewServer(newTree.Map(), cfg)
+// collectionCosts runs a real collection session from oldFiles toward
+// newFiles, flat or tree change detection, and requires it to converge.
+func collectionCosts(oldFiles, newFiles map[string][]byte, cfg core.Config, tree bool) stats.Costs {
+	srv, err := collection.NewServer(newFiles, cfg)
 	if err != nil {
 		panic(err)
 	}
-	a, b := transport.Pipe()
-	done := make(chan *stats.Costs, 1)
-	go func() {
-		defer a.Close()
-		costs, err := srv.Serve(a)
-		if err != nil {
-			panic(fmt.Sprintf("bench: collection server: %v", err))
-		}
-		done <- costs
-	}()
-	res, err := collection.NewClient(oldTree.Map()).Sync(b)
-	b.Close()
-	if err != nil {
-		panic(fmt.Sprintf("bench: collection client: %v", err))
+	cli := collection.NewClient(oldFiles)
+	cli.TreeManifest = tree
+	r, err := runSession(srv, cli)
+	if err == nil {
+		err = collection.VerifyAgainst(r.result.Files, newFiles)
 	}
-	<-done
-	return *res.Costs
+	if err != nil {
+		panic(fmt.Sprintf("bench: collection session: %v", err))
+	}
+	return *r.client
 }
 
 // AblateCDC sweeps the content-defined-chunking baseline's average chunk
@@ -252,24 +245,23 @@ func AblateManifest(opts Options) *Table {
 	nFiles := maxI(64, int(800*opts.Scale))
 	rng := rand.New(rand.NewSource(opts.Seed))
 	base := make(map[string][]byte, nFiles)
-	for i := 0; i < nFiles; i++ {
-		base[fmt.Sprintf("site/d%02d/f%05d.html", i%37, i)] = corpus.SourceText(rng, 400+rng.Intn(800))
+	// Rows change the first files in creation order: deterministic, and
+	// spread across all 37 directories.
+	paths := make([]string, nFiles)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("site/d%02d/f%05d.html", i%37, i)
+		base[paths[i]] = corpus.SourceText(rng, 400+rng.Intn(800))
 	}
 	for _, changed := range []int{1, 8, nFiles / 16, nFiles / 4} {
 		newer := make(map[string][]byte, nFiles)
 		for k, v := range base {
 			newer[k] = v
 		}
-		i := 0
-		for k := range newer {
-			if i >= changed {
-				break
-			}
+		for _, k := range paths[:changed] {
 			newer[k] = corpus.SourceText(rng, 400+rng.Intn(800))
-			i++
 		}
-		flat := collectionCostsMaps(base, newer, core.DefaultConfig(), false)
-		tree := collectionCostsMaps(base, newer, core.DefaultConfig(), true)
+		flat := collectionCosts(base, newer, core.DefaultConfig(), false)
+		tree := collectionCosts(base, newer, core.DefaultConfig(), true)
 		t.Rows = append(t.Rows, Row{
 			Name: fmt.Sprintf("%d of %d files changed", changed, nFiles),
 			Values: []float64{
@@ -289,29 +281,6 @@ func maxI(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// collectionCostsMaps runs a real session over a pipe from raw maps.
-func collectionCostsMaps(oldFiles, newFiles map[string][]byte, cfg core.Config, tree bool) stats.Costs {
-	srv, err := collection.NewServer(newFiles, cfg)
-	if err != nil {
-		panic(err)
-	}
-	a, b := transport.Pipe()
-	go func() {
-		defer a.Close()
-		if _, err := srv.Serve(a); err != nil {
-			panic(fmt.Sprintf("bench: collection server: %v", err))
-		}
-	}()
-	cli := collection.NewClient(oldFiles)
-	cli.TreeManifest = tree
-	res, err := cli.Sync(b)
-	b.Close()
-	if err != nil {
-		panic(fmt.Sprintf("bench: collection client: %v", err))
-	}
-	return *res.Costs
 }
 
 // AblateDecomposable isolates the decomposable-hash saving on map-phase

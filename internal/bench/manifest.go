@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -11,7 +10,6 @@ import (
 	"msync/internal/core"
 	"msync/internal/corpus"
 	"msync/internal/stats"
-	"msync/internal/transport"
 )
 
 // Reference shape of the manifest-scaling experiment at Scale 1.0: a very
@@ -22,59 +20,25 @@ const (
 	manifestFileBytes = 224 // below the sync threshold: changed files go whole
 )
 
-// manifestRun is one measured session.
-type manifestRun struct {
-	secs   float64
-	wire   int64
-	client *stats.Costs
-	server *stats.Costs
-	files  map[string][]byte
-}
-
-// runManifestSync runs one session of cli against a server over serverTree.
-// Passing a non-nil srv reuses a live server (warm manifest + tree caches);
-// otherwise a fresh one is built (cold).
-func runManifestSync(serverTree map[string][]byte, srv *collection.Server, cli *collection.Client, cfg core.Config) (*manifestRun, error) {
+// runManifestSync runs one session of cli against srv, or against a fresh
+// server over want when srv is nil (cold: construction is timed), and
+// requires the result to equal want.
+func runManifestSync(want map[string][]byte, srv *collection.Server, cli *collection.Client, cfg core.Config) (*sessionRun, error) {
 	start := time.Now()
 	if srv == nil {
 		var err error
-		srv, err = collection.NewServer(serverTree, cfg)
-		if err != nil {
+		if srv, err = collection.NewServer(want, cfg); err != nil {
 			return nil, err
 		}
 	}
-	a, b := transport.Pipe()
-	sEnd := &recordEnd{ReadWriteCloser: a}
-	cEnd := &recordEnd{ReadWriteCloser: b}
-	done := make(chan *stats.Costs, 1)
-	errc := make(chan error, 1)
-	go func() {
-		defer a.Close()
-		costs, err := srv.Serve(sEnd)
-		if err != nil {
-			errc <- err
-			return
-		}
-		done <- costs
-	}()
-	res, err := cli.Sync(cEnd)
-	b.Close()
+	r, err := runSession(srv, cli)
 	if err != nil {
-		return nil, fmt.Errorf("bench: manifest client: %w", err)
+		return nil, fmt.Errorf("bench: manifest: %w", err)
 	}
-	var srvCosts *stats.Costs
-	select {
-	case srvCosts = <-done:
-	case err := <-errc:
-		return nil, fmt.Errorf("bench: manifest server: %w", err)
+	r.secs = time.Since(start).Seconds()
+	if err := collection.VerifyAgainst(r.result.Files, want); err != nil {
+		return nil, fmt.Errorf("bench: manifest run did not converge: %w", err)
 	}
-	r := &manifestRun{
-		secs:   time.Since(start).Seconds(),
-		client: res.Costs,
-		server: srvCosts,
-		files:  res.Files,
-	}
-	r.wire = int64(len(sEnd.bytesWritten()) + len(cEnd.bytesWritten()))
 	return r, nil
 }
 
@@ -182,17 +146,11 @@ func measureManifest(opts Options) (*ManifestReport, error) {
 			"matching; every run verified byte-identical to the server's collection",
 	}
 
-	verify := func(r *manifestRun, want map[string][]byte) (*manifestRun, error) {
-		if err := collection.VerifyAgainst(r.files, want); err != nil {
-			return nil, fmt.Errorf("bench: manifest run did not converge: %w", err)
-		}
-		return r, nil
-	}
-	point := func(arm string, r *manifestRun) ManifestPoint {
+	point := func(arm string, r *sessionRun) ManifestPoint {
 		return ManifestPoint{
 			Arm:            arm,
 			Secs:           r.secs,
-			WireBytes:      r.wire,
+			WireBytes:      r.wire(),
 			ControlBytes:   r.client.PhaseTotal(stats.PhaseControl),
 			DeltaBytes:     r.client.PhaseTotal(stats.PhaseDelta),
 			FullBytes:      r.client.PhaseTotal(stats.PhaseFull),
@@ -204,7 +162,7 @@ func measureManifest(opts Options) (*ManifestReport, error) {
 			FilesRenamed:   r.client.FilesRenamed,
 			FilesRebased:   r.client.FilesRebased,
 			RenameSaved:    r.client.RenameBytesSaved,
-			Converged:      true, // enforced by verify()
+			Converged:      true, // enforced by runManifestSync
 		}
 	}
 
@@ -212,9 +170,6 @@ func measureManifest(opts Options) (*ManifestReport, error) {
 	flatCli := collection.NewClient(v1)
 	flat, err := runManifestSync(v2, nil, flatCli, cfg)
 	if err != nil {
-		return nil, err
-	}
-	if flat, err = verify(flat, v2); err != nil {
 		return nil, err
 	}
 	flatPt := point("flat", flat)
@@ -225,9 +180,6 @@ func measureManifest(opts Options) (*ManifestReport, error) {
 	coldCli.TreeManifest = true
 	cold, err := runManifestSync(v2, nil, coldCli, cfg)
 	if err != nil {
-		return nil, err
-	}
-	if cold, err = verify(cold, v2); err != nil {
 		return nil, err
 	}
 	coldPt := point("tree-cold", cold)
@@ -244,14 +196,11 @@ func measureManifest(opts Options) (*ManifestReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := runManifestSync(nil, warmSrv, warmCli, cfg); err != nil {
+	if _, err := runManifestSync(v2, warmSrv, warmCli, cfg); err != nil {
 		return nil, err // warm-up: builds both sides' trees
 	}
-	warm, err := runManifestSync(nil, warmSrv, warmCli, cfg)
+	warm, err := runManifestSync(v2, warmSrv, warmCli, cfg)
 	if err != nil {
-		return nil, err
-	}
-	if warm, err = verify(warm, v2); err != nil {
 		return nil, err
 	}
 	warmPt := point("tree-cached", warm)
@@ -284,24 +233,7 @@ func measureManifest(opts Options) (*ManifestReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		if r, err = verify(r, r2.Map()); err != nil {
-			return nil, err
-		}
 		rep.Points = append(rep.Points, point(arm.name, r))
 	}
 	return rep, nil
-}
-
-// ManifestJSON runs the manifest-scaling experiment and renders
-// BENCH_manifest.json.
-func ManifestJSON(opts Options) ([]byte, error) {
-	rep, err := measureManifest(opts)
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -12,7 +11,6 @@ import (
 	"msync/internal/core"
 	"msync/internal/corpus"
 	"msync/internal/stats"
-	"msync/internal/transport"
 )
 
 // Reference shape of the multiplexing experiment at Scale 1.0: a wide
@@ -59,8 +57,9 @@ func muxCorpus(opts Options) (v1, v2 map[string][]byte) {
 }
 
 // runMuxSession runs one collection session at the given stream width (0 =
-// legacy lockstep), verifies convergence, and returns the session costs
-// (identical on both sides — asserted) and its in-process wall-clock.
+// legacy lockstep), verifies convergence, and returns the server's session
+// costs (the runner holds both ends to the same bytes and roundtrips) and
+// the session's in-process wall-clock.
 func runMuxSession(serverTree, clientTree map[string][]byte, width int, cfg core.Config) (*stats.Costs, float64, error) {
 	srv, err := collection.NewServer(serverTree, cfg)
 	if err != nil {
@@ -69,39 +68,14 @@ func runMuxSession(serverTree, clientTree map[string][]byte, width int, cfg core
 	srv.MuxStreams = width
 	cli := collection.NewClient(clientTree)
 	cli.MuxStreams = width
-
-	start := time.Now()
-	a, b := transport.Pipe()
-	done := make(chan *stats.Costs, 1)
-	errc := make(chan error, 1)
-	go func() {
-		defer a.Close()
-		costs, err := srv.Serve(a)
-		if err != nil {
-			errc <- err
-			return
-		}
-		done <- costs
-	}()
-	res, err := cli.Sync(b)
-	b.Close()
+	r, err := runSession(srv, cli)
 	if err != nil {
-		return nil, 0, fmt.Errorf("bench: mux client: %w", err)
+		return nil, 0, fmt.Errorf("bench: mux width %d: %w", width, err)
 	}
-	var srvCosts *stats.Costs
-	select {
-	case srvCosts = <-done:
-	case err := <-errc:
-		return nil, 0, fmt.Errorf("bench: mux server: %w", err)
-	}
-	secs := time.Since(start).Seconds()
-	if err := collection.VerifyAgainst(res.Files, serverTree); err != nil {
+	if err := collection.VerifyAgainst(r.result.Files, serverTree); err != nil {
 		return nil, 0, fmt.Errorf("bench: mux width %d did not converge: %w", width, err)
 	}
-	if res.Costs.Total() != srvCosts.Total() || res.Costs.Roundtrips != srvCosts.Roundtrips {
-		return nil, 0, fmt.Errorf("bench: mux width %d: sides disagree on costs", width)
-	}
-	return srvCosts, secs, nil
+	return r.server, r.secs, nil
 }
 
 // runPerFile models a tool without collection-level sessions: one full
@@ -258,17 +232,4 @@ func measureMux(opts Options) (*MuxReport, error) {
 		})
 	}
 	return rep, nil
-}
-
-// MuxJSON runs the multiplexing experiment and renders BENCH_mux.json.
-func MuxJSON(opts Options) ([]byte, error) {
-	rep, err := measureMux(opts)
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -267,19 +266,6 @@ func measureScan(opts Options) (*ScanReport, error) {
 	}
 	rep.Trace = summarizeTrace(ring.Events(), "core")
 	return rep, nil
-}
-
-// ScanJSON runs the scan-scaling experiment and renders BENCH_scan.json.
-func ScanJSON(opts Options) ([]byte, error) {
-	rep, err := measureScan(opts)
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // ParallelScan is the table view of the scan-scaling experiment for the

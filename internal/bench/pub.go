@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -12,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"msync/internal/collection"
 	"msync/internal/corpus"
 	"msync/internal/dirio"
 	"msync/internal/obs"
@@ -241,9 +241,6 @@ func measurePubInteractive(v1, v2 map[string][]byte) (*PubArm, error) {
 	for i := 0; i < pubReaders; i++ {
 		r, err := runStoreSync(v2, nil, pubReaderTree(v1, i), false, 0, cfg)
 		if err != nil {
-			return nil, err
-		}
-		if err := verifyReaderFiles(r.files, v2); err != nil {
 			return nil, fmt.Errorf("bench: interactive reader %d: %w", i, err)
 		}
 		hashed := r.server.BytesHashed
@@ -252,7 +249,7 @@ func measurePubInteractive(v1, v2 map[string][]byte) (*PubArm, error) {
 		} else {
 			arm.ServerHashedExtra += hashed
 		}
-		arm.DownBytesTotal += r.wire
+		arm.DownBytesTotal += r.wire()
 	}
 	arm.Secs = time.Since(start).Seconds()
 	arm.DownBytesPerReader = float64(arm.DownBytesTotal) / pubReaders
@@ -328,7 +325,7 @@ func measurePubArtifacts(v1, v2 map[string][]byte, mode string, cdn, delta bool)
 		if err != nil {
 			return nil, err
 		}
-		if err := verifyReaderFiles(got, v2); err != nil {
+		if err := collection.VerifyAgainst(got, v2); err != nil {
 			return nil, fmt.Errorf("bench: %s reader %d: %w", mode, i, err)
 		}
 		hashed := hashedC.Value() - hashedBefore
@@ -350,40 +347,4 @@ func measurePubArtifacts(v1, v2 map[string][]byte, mode string, cdn, delta bool)
 	arm.Secs = time.Since(start).Seconds()
 	arm.DownBytesPerReader = float64(arm.DownBytesTotal) / pubReaders
 	return arm, nil
-}
-
-// verifyReaderFiles checks byte-for-byte convergence of a reader's result
-// against the served collection.
-func verifyReaderFiles(got, want map[string][]byte) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("reader holds %d files, collection has %d", len(got), len(want))
-	}
-	for k, v := range want {
-		g, ok := got[k]
-		if !ok {
-			return fmt.Errorf("reader missing %q", k)
-		}
-		if len(g) != len(v) {
-			return fmt.Errorf("reader file %q differs", k)
-		}
-		for i := range g {
-			if g[i] != v[i] {
-				return fmt.Errorf("reader file %q differs at byte %d", k, i)
-			}
-		}
-	}
-	return nil
-}
-
-// PubJSON runs the fan-out experiment and renders BENCH_pub.json.
-func PubJSON(opts Options) ([]byte, error) {
-	rep, err := measurePub(opts)
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

@@ -11,7 +11,7 @@ func TestPubFanout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-reader fan-out measurement")
 	}
-	out, err := PubJSON(Options{Scale: 0.1, Seed: 7})
+	out, err := ReportJSON("pub.fanout", Options{Scale: 0.1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -13,7 +12,6 @@ import (
 	"msync/internal/corpus"
 	"msync/internal/stats"
 	"msync/internal/store"
-	"msync/internal/transport"
 )
 
 // Reference shape of the versioned-store experiment at Scale 1.0: a wide
@@ -24,15 +22,6 @@ const (
 	storeFileBytes = 2 << 10
 	storeVersions  = 6
 )
-
-// storeRun is one measured session against the versioned server.
-type storeRun struct {
-	secs   float64
-	wire   int64
-	client *stats.Costs // phase bytes, roundtrips, per-file outcomes
-	server *stats.Costs // journal hit/miss counters live here
-	files  map[string][]byte
-}
 
 // storeChurn derives the next version of tree: ~1% of files lightly edited,
 // a few added, a few deleted. Selection is deterministic in rng.
@@ -83,8 +72,9 @@ func storeChurn(rng *rand.Rand, tree map[string][]byte, gen int) map[string][]by
 
 // runStoreSync runs one session: a freshly built server over serverTree
 // (wrapped with the version store when st is non-nil) against a client
-// holding clientTree, optionally announcing base.
-func runStoreSync(serverTree map[string][]byte, st *store.Store, clientTree map[string][]byte, announce bool, base uint64, cfg core.Config) (*storeRun, error) {
+// holding clientTree, optionally announcing base. Its seconds include server
+// construction, and the result must equal serverTree.
+func runStoreSync(serverTree map[string][]byte, st *store.Store, clientTree map[string][]byte, announce bool, base uint64, cfg core.Config) (*sessionRun, error) {
 	start := time.Now()
 	var src collection.Source = collection.MapSource(serverTree)
 	if st != nil {
@@ -97,40 +87,14 @@ func runStoreSync(serverTree map[string][]byte, st *store.Store, clientTree map[
 	cli := collection.NewClientSource(collection.MapSource(clientTree))
 	cli.AnnounceVersion = announce
 	cli.BaseVersion = base
-
-	a, b := transport.Pipe()
-	sEnd := &recordEnd{ReadWriteCloser: a}
-	cEnd := &recordEnd{ReadWriteCloser: b}
-	done := make(chan *stats.Costs, 1)
-	errc := make(chan error, 1)
-	go func() {
-		defer a.Close()
-		costs, err := srv.Serve(sEnd)
-		if err != nil {
-			errc <- err
-			return
-		}
-		done <- costs
-	}()
-	res, err := cli.Sync(cEnd)
-	b.Close()
+	r, err := runSession(srv, cli)
 	if err != nil {
-		return nil, fmt.Errorf("bench: store client: %w", err)
+		return nil, fmt.Errorf("bench: store: %w", err)
 	}
-	var srvCosts *stats.Costs
-	select {
-	case srvCosts = <-done:
-	case err := <-errc:
-		return nil, fmt.Errorf("bench: store server: %w", err)
+	r.secs = time.Since(start).Seconds()
+	if err := collection.VerifyAgainst(r.result.Files, serverTree); err != nil {
+		return nil, fmt.Errorf("bench: store run did not converge: %w", err)
 	}
-
-	r := &storeRun{
-		secs:   time.Since(start).Seconds(),
-		client: res.Costs,
-		server: srvCosts,
-		files:  res.Files,
-	}
-	r.wire = int64(len(sEnd.bytesWritten()) + len(cEnd.bytesWritten()))
 	return r, nil
 }
 
@@ -225,32 +189,18 @@ func measureStore(opts Options) (*StoreReport, error) {
 	current := trees[storeVersions]
 
 	const reps = 3 // rep 0 is a warm-up
-	best := func(clientTree map[string][]byte, announce bool, base uint64) (*storeRun, error) {
-		var b *storeRun
-		for rep := 0; rep < reps; rep++ {
-			r, err := runStoreSync(current, st, clientTree, announce, base, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if err := collection.VerifyAgainst(r.files, current); err != nil {
-				return nil, fmt.Errorf("bench: store run did not converge: %w", err)
-			}
-			if rep == 0 {
-				continue
-			}
-			if b == nil || r.secs < b.secs {
-				b = r
-			}
-		}
-		return b, nil
+	best := func(clientTree map[string][]byte, announce bool, base uint64) (*sessionRun, error) {
+		return bestOf(reps, func(int) (*sessionRun, error) {
+			return runStoreSync(current, st, clientTree, announce, base, cfg)
+		})
 	}
 
-	point := func(mode string, baseV uint64, r *storeRun) StorePoint {
+	point := func(mode string, baseV uint64, r *sessionRun) StorePoint {
 		return StorePoint{
 			Mode:           mode,
 			BaseVersion:    baseV,
 			Secs:           r.secs,
-			WireBytes:      r.wire,
+			WireBytes:      r.wire(),
 			MapBytes:       r.client.PhaseTotal(stats.PhaseMap),
 			DeltaBytes:     r.client.PhaseTotal(stats.PhaseDelta),
 			FullBytes:      r.client.PhaseTotal(stats.PhaseFull),
@@ -261,7 +211,7 @@ func measureStore(opts Options) (*StoreReport, error) {
 			FilesUnchanged: r.client.FilesUnchanged,
 			JournalHits:    r.server.JournalHits,
 			JournalMisses:  r.server.JournalMisses,
-			Converged:      true, // enforced per rep in best()
+			Converged:      true, // enforced per run by runStoreSync
 		}
 	}
 
@@ -300,23 +250,10 @@ func measureStore(opts Options) (*StoreReport, error) {
 		if jr.secs > 0 {
 			jp.SpeedupVsFull = full.secs / jr.secs
 		}
-		if full.wire > 0 {
-			jp.WireVsFull = float64(jr.wire) / float64(full.wire)
+		if full.wire() > 0 {
+			jp.WireVsFull = float64(jr.wire()) / float64(full.wire())
 		}
 		rep.Points = append(rep.Points, jp)
 	}
 	return rep, nil
-}
-
-// StoreJSON runs the versioned-store experiment and renders BENCH_store.json.
-func StoreJSON(opts Options) ([]byte, error) {
-	rep, err := measureStore(opts)
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -43,9 +44,9 @@ func TestManifestCacheReused(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		srv.Serve(a)
+		srv.ServeContext(context.Background(), a)
 	}()
-	if _, err := pusher.Push(b); err != nil {
+	if _, err := pusher.PushContext(context.Background(), b); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()
@@ -78,11 +79,11 @@ func runOneSession(t *testing.T, srv *Server, clientFiles map[string][]byte) {
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		if _, err := srv.Serve(a); err != nil {
+		if _, err := srv.ServeContext(context.Background(), a); err != nil {
 			t.Error(err)
 		}
 	}()
-	if _, err := NewClient(clientFiles).Sync(b); err != nil {
+	if _, err := NewClient(clientFiles).SyncContext(context.Background(), b); err != nil {
 		t.Error(err)
 	}
 	b.Close()

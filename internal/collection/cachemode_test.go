@@ -2,6 +2,7 @@ package collection
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -92,13 +93,13 @@ func runCacheModeSession(t *testing.T, serverDir, clientDir string, sCache, cCac
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		c, err := srv.Serve(wireRecorder{a, &mu, &sb})
+		c, err := srv.ServeContext(context.Background(), wireRecorder{a, &mu, &sb})
 		if err != nil {
 			t.Error(err)
 		}
 		serverCosts = c
 	}()
-	res, err = cli.Sync(wireRecorder{b, &mu, &cb})
+	res, err = cli.SyncContext(context.Background(), wireRecorder{b, &mu, &cb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +207,13 @@ func TestRepeatedServeReusesEngineLevels(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer a.Close()
-			c, err := srv.Serve(wireRecorder{a, &mu, &sb})
+			c, err := srv.ServeContext(context.Background(), wireRecorder{a, &mu, &sb})
 			if err != nil {
 				t.Error(err)
 			}
 			costs = c
 		}()
-		if _, err := cli.Sync(b); err != nil {
+		if _, err := cli.SyncContext(context.Background(), b); err != nil {
 			t.Fatal(err)
 		}
 		b.Close()

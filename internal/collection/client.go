@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -164,16 +165,10 @@ type Result struct {
 	Version uint64
 }
 
-// Sync runs one session over conn and returns the updated collection.
-// It is SyncContext with a background context.
-func (c *Client) Sync(conn io.ReadWriter) (*Result, error) {
-	return c.SyncContext(context.Background(), conn)
-}
-
-// SyncContext runs one session over conn under ctx: cancellation or a
-// context deadline aborts the session at the next frame boundary (and
-// interrupts blocked I/O when conn supports deadlines), and RoundTimeout
-// bounds every individual round.
+// SyncContext runs one session over conn under ctx and returns the updated
+// collection: cancellation or a context deadline aborts the session at the
+// next frame boundary (and interrupts blocked I/O when conn supports
+// deadlines), and RoundTimeout bounds every individual round.
 func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (*Result, error) {
 	sess := transport.NewSession(ctx, conn, c.RoundTimeout)
 	defer sess.Release()
@@ -868,8 +863,8 @@ func respond(workers int, engines []clientFile, frameType byte, payload []byte, 
 	return rb.Build(), nil
 }
 
-// VerifyAgainst checks that every file in result matches the expected
-// content; a helper for tests and the CLI's --check mode.
+// VerifyAgainst checks that result holds exactly the files of want, byte for
+// byte; the convergence check of tests and the benchmark harness.
 func VerifyAgainst(result, want map[string][]byte) error {
 	if len(result) != len(want) {
 		return fmt.Errorf("collection: file count %d, want %d", len(result), len(want))
@@ -879,7 +874,7 @@ func VerifyAgainst(result, want map[string][]byte) error {
 		if !ok {
 			return fmt.Errorf("collection: missing %q", path)
 		}
-		if md4.Sum(got) != md4.Sum(data) {
+		if !bytes.Equal(got, data) {
 			return fmt.Errorf("collection: content mismatch for %q", path)
 		}
 	}

@@ -2,6 +2,7 @@ package collection
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -116,9 +117,9 @@ func session(t *testing.T, serverFiles, clientFiles map[string][]byte, cfg core.
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		serverCosts, serverErr = srv.Serve(a)
+		serverCosts, serverErr = srv.ServeContext(context.Background(), a)
 	}()
-	res, err := NewClient(clientFiles).Sync(b)
+	res, err := NewClient(clientFiles).SyncContext(context.Background(), b)
 	b.Close()
 	wg.Wait()
 	if err != nil {
@@ -175,7 +176,7 @@ func TestServerErrorFrame(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		srv.Serve(a)
+		srv.ServeContext(context.Background(), a)
 	}()
 	fw := wire.NewFrameWriter(b)
 	hb := wire.NewBuffer(4)
@@ -212,9 +213,9 @@ func TestConnectionCutMidSession(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		_, serverErr = srv.Serve(faulty)
+		_, serverErr = srv.ServeContext(context.Background(), faulty)
 	}()
-	_, clientErr := NewClient(v1.Map()).Sync(b)
+	_, clientErr := NewClient(v1.Map()).SyncContext(context.Background(), b)
 	b.Close()
 	wg.Wait()
 	if serverErr == nil && clientErr == nil {

@@ -2,6 +2,7 @@ package collection
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -85,9 +86,9 @@ func runRecorded(t *testing.T, srv *Server, cli *Client) recording {
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		serverCosts, serverErr = srv.Serve(a)
+		serverCosts, serverErr = srv.ServeContext(context.Background(), a)
 	}()
-	res, err := cli.Sync(rec)
+	res, err := cli.SyncContext(context.Background(), rec)
 	b.Close()
 	wg.Wait()
 	if err != nil {
@@ -139,9 +140,9 @@ func legacyScenarios() []legacyScenario {
 			go func() {
 				defer wg.Done()
 				defer a.Close()
-				srvCosts, srvErr = receiver.Serve(a)
+				srvCosts, srvErr = receiver.ServeContext(context.Background(), a)
 			}()
-			pushCosts, err := pusher.Push(rec)
+			pushCosts, err := pusher.PushContext(context.Background(), rec)
 			b.Close()
 			wg.Wait()
 			if err != nil {

@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -106,9 +107,9 @@ func muxSession(t *testing.T, serverFiles, clientFiles map[string][]byte, cfg co
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		serverCosts, serverErr = srv.Serve(a)
+		serverCosts, serverErr = srv.ServeContext(context.Background(), a)
 	}()
-	res, err := cli.Sync(b)
+	res, err := cli.SyncContext(context.Background(), b)
 	b.Close()
 	wg.Wait()
 	if err != nil {
@@ -346,11 +347,11 @@ func muxByteProbe(t *testing.T, serverFiles, clientFiles map[string][]byte, widt
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		if _, err := srv.Serve(sp); err != nil {
+		if _, err := srv.ServeContext(context.Background(), sp); err != nil {
 			t.Errorf("probe server: %v", err)
 		}
 	}()
-	if _, err := cli.Sync(cp); err != nil {
+	if _, err := cli.SyncContext(context.Background(), cp); err != nil {
 		t.Fatalf("probe client: %v", err)
 	}
 	b.Close()
@@ -376,12 +377,12 @@ func TestMuxSevered(t *testing.T) {
 	faulty := transport.NewFaultConn(a).SeverAfter(serverBytes - 10)
 	srvDone := make(chan error, 1)
 	go func() {
-		_, err := srv.Serve(faulty)
+		_, err := srv.ServeContext(context.Background(), faulty)
 		srvDone <- err
 	}()
 	cliDone := make(chan error, 1)
 	go func() {
-		_, err := cli.Sync(b)
+		_, err := cli.SyncContext(context.Background(), b)
 		cliDone <- err
 	}()
 	for i := 0; i < 2; i++ {
@@ -420,13 +421,13 @@ func TestMuxStalledClient(t *testing.T) {
 	srvDone := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		_, err := srv.Serve(a)
+		_, err := srv.ServeContext(context.Background(), a)
 		a.Close() // reaps the abandoned client
 		srvDone <- err
 	}()
 	cliDone := make(chan error, 1)
 	go func() {
-		_, err := cli.Sync(faulty)
+		_, err := cli.SyncContext(context.Background(), faulty)
 		cliDone <- err
 	}()
 	select {

@@ -2,6 +2,7 @@ package collection
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -47,12 +48,12 @@ func parallelSession(t *testing.T, serverFiles, clientFiles map[string][]byte, c
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		serverCosts, serverErr = srv.Serve(a)
+		serverCosts, serverErr = srv.ServeContext(context.Background(), a)
 	}()
 	cli := NewClient(clientFiles)
 	cli.Workers = workers
 	rec := &recordingConn{inner: b}
-	res, err = cli.Sync(rec)
+	res, err = cli.SyncContext(context.Background(), rec)
 	b.Close()
 	wg.Wait()
 	if err != nil {

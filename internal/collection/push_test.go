@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -34,9 +35,9 @@ func pushSession(t *testing.T, srcFiles, dstFiles map[string][]byte, tree bool) 
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		_, replicaErr = replica.Serve(a)
+		_, replicaErr = replica.ServeContext(context.Background(), a)
 	}()
-	costs, err := pusher.Push(b)
+	costs, err := pusher.PushContext(context.Background(), b)
 	b.Close()
 	wg.Wait()
 	if err != nil {
@@ -83,9 +84,9 @@ func TestPushRejectedWhenDisallowed(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		replica.Serve(a)
+		replica.ServeContext(context.Background(), a)
 	}()
-	_, pushErr := pusher.Push(b)
+	_, pushErr := pusher.PushContext(context.Background(), b)
 	b.Close()
 	wg.Wait()
 	if pushErr == nil {
@@ -112,9 +113,9 @@ func TestPushThenServe(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		replica.Serve(a)
+		replica.ServeContext(context.Background(), a)
 	}()
-	if _, err := pusher.Push(b); err != nil {
+	if _, err := pusher.PushContext(context.Background(), b); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()
@@ -126,9 +127,9 @@ func TestPushThenServe(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer c.Close()
-		replica.Serve(c)
+		replica.ServeContext(context.Background(), c)
 	}()
-	res, err := NewClient(map[string][]byte{}).Sync(d)
+	res, err := NewClient(map[string][]byte{}).SyncContext(context.Background(), d)
 	d.Close()
 	wg.Wait()
 	if err != nil {

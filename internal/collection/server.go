@@ -169,17 +169,12 @@ type syncFile struct {
 	data   []byte
 }
 
-// Serve runs one synchronization session over conn. It returns the session's
-// cost accounting (from the server's perspective; the client computes an
-// identical view). It is ServeContext with a background context.
-func (s *Server) Serve(conn io.ReadWriter) (*stats.Costs, error) {
-	return s.ServeContext(context.Background(), conn)
-}
-
-// ServeContext runs one synchronization session over conn under ctx:
-// cancellation or a context deadline aborts the session at the next frame
-// boundary (interrupting blocked I/O when conn supports deadlines), and
-// RoundTimeout bounds every individual round.
+// ServeContext runs one synchronization session over conn under ctx and
+// returns the session's cost accounting (from the server's perspective; the
+// client computes an identical view). Cancellation or a context deadline
+// aborts the session at the next frame boundary (interrupting blocked I/O
+// when conn supports deadlines), and RoundTimeout bounds every individual
+// round.
 func (s *Server) ServeContext(ctx context.Context, conn io.ReadWriter) (*stats.Costs, error) {
 	sess := transport.NewSession(ctx, conn, s.RoundTimeout)
 	defer sess.Release()
@@ -377,16 +372,11 @@ func (s *Server) serveSession(ctx context.Context, sess *transport.Session, fr *
 	return s.serveStreams(ctx, sess, fr, fw, costs, fail, streams, wrapped, st)
 }
 
-// Push updates a remote replica over conn with this server's (newer)
-// collection: the inverse transfer direction of Serve, for replicas that
-// cannot dial out or for backup-style workflows. The remote end must be a
-// Server with AllowPush set. It is PushContext with a background context.
-func (s *Server) Push(conn io.ReadWriter) (*stats.Costs, error) {
-	return s.PushContext(context.Background(), conn)
-}
-
-// PushContext runs Push under ctx, with the same cancellation and
-// round-timeout semantics as ServeContext.
+// PushContext updates a remote replica over conn with this server's (newer)
+// collection: the inverse transfer direction of ServeContext, for replicas
+// that cannot dial out or for backup-style workflows. The remote end must be
+// a Server with AllowPush set. Cancellation and round timeouts work as in
+// ServeContext.
 func (s *Server) PushContext(ctx context.Context, conn io.ReadWriter) (*stats.Costs, error) {
 	sess := transport.NewSession(ctx, conn, s.RoundTimeout)
 	defer sess.Release()

@@ -68,7 +68,7 @@ func TestStalledMidSessionRoundDeadline(t *testing.T) {
 	faulty := transport.NewFaultConn(a).DropAfter(250)
 	srvDone := make(chan error, 1)
 	go func() {
-		_, err := srv.Serve(faulty)
+		_, err := srv.ServeContext(context.Background(), faulty)
 		srvDone <- err
 	}()
 
@@ -105,13 +105,13 @@ func TestSeveredMidFrame(t *testing.T) {
 	faulty := transport.NewFaultConn(a).SeverAfter(100)
 	srvDone := make(chan error, 1)
 	go func() {
-		_, err := srv.Serve(faulty)
+		_, err := srv.ServeContext(context.Background(), faulty)
 		srvDone <- err
 	}()
 
 	cliDone := make(chan error, 1)
 	go func() {
-		_, err := NewClient(clientFiles).Sync(b)
+		_, err := NewClient(clientFiles).SyncContext(context.Background(), b)
 		cliDone <- err
 	}()
 
@@ -204,7 +204,7 @@ func TestContextVariantsDelegate(t *testing.T) {
 			if useCtx {
 				srv.ServeContext(context.Background(), a)
 			} else {
-				srv.Serve(a)
+				srv.ServeContext(context.Background(), a)
 			}
 		}()
 		c := NewClient(clientFiles)
@@ -212,7 +212,7 @@ func TestContextVariantsDelegate(t *testing.T) {
 		if useCtx {
 			res, err = c.SyncContext(context.Background(), b)
 		} else {
-			res, err = c.Sync(b)
+			res, err = c.SyncContext(context.Background(), b)
 		}
 		b.Close()
 		if err != nil {

@@ -2,6 +2,7 @@ package collection
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -28,11 +29,11 @@ func treeSession(t *testing.T, serverFiles, clientFiles map[string][]byte) (*Res
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		serverCosts, serverErr = srv.Serve(a)
+		serverCosts, serverErr = srv.ServeContext(context.Background(), a)
 	}()
 	cli := NewClient(clientFiles)
 	cli.TreeManifest = true
-	res, err := cli.Sync(b)
+	res, err := cli.SyncContext(context.Background(), b)
 	b.Close()
 	wg.Wait()
 	if err != nil {
@@ -112,11 +113,11 @@ func sessionWithMode(t *testing.T, serverFiles, clientFiles map[string][]byte, t
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		serverCosts, serverErr = srv.Serve(a)
+		serverCosts, serverErr = srv.ServeContext(context.Background(), a)
 	}()
 	cli := NewClient(clientFiles)
 	cli.TreeManifest = tree
-	res, err := cli.Sync(b)
+	res, err := cli.SyncContext(context.Background(), b)
 	b.Close()
 	wg.Wait()
 	if err != nil || serverErr != nil {

@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -28,14 +29,14 @@ func extSession(t *testing.T, serverFiles, clientFiles map[string][]byte, tune f
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		serverCosts, serverErr = srv.Serve(a)
+		serverCosts, serverErr = srv.ServeContext(context.Background(), a)
 	}()
 	cli := NewClient(clientFiles)
 	cli.TreeManifest = true
 	if tune != nil {
 		tune(cli)
 	}
-	res, err := cli.Sync(b)
+	res, err := cli.SyncContext(context.Background(), b)
 	b.Close()
 	wg.Wait()
 	if err != nil {
@@ -278,7 +279,7 @@ func TestTreeInteropMatrix(t *testing.T) {
 					go func() {
 						defer wg.Done()
 						defer a.Close()
-						serverCosts, serverErr = srv.Serve(a)
+						serverCosts, serverErr = srv.ServeContext(context.Background(), a)
 					}()
 					cli := NewClient(files)
 					cli.TreeManifest = true
@@ -286,7 +287,7 @@ func TestTreeInteropMatrix(t *testing.T) {
 					cli.MuxStreams = mux
 					cli.SpeculativeDescent = caps
 					cli.CrossFileMatch = caps
-					res, err := cli.Sync(b)
+					res, err := cli.SyncContext(context.Background(), b)
 					b.Close()
 					wg.Wait()
 					if err != nil {
@@ -348,9 +349,9 @@ func TestTreeClientCacheReuse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer a.Close()
-			_, serverErr = srv.Serve(a)
+			_, serverErr = srv.ServeContext(context.Background(), a)
 		}()
-		res, err := cli.Sync(b)
+		res, err := cli.SyncContext(context.Background(), b)
 		b.Close()
 		wg.Wait()
 		if err != nil || serverErr != nil {

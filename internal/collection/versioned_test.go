@@ -2,6 +2,7 @@ package collection
 
 import (
 	"bytes"
+	"context"
 	"sort"
 	"sync"
 	"testing"
@@ -73,9 +74,9 @@ func runVersioned(t *testing.T, srv *Server, cli *Client) (*Result, *stats.Costs
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		serverCosts, serverErr = srv.Serve(a)
+		serverCosts, serverErr = srv.ServeContext(context.Background(), a)
 	}()
-	res, err := cli.Sync(b)
+	res, err := cli.SyncContext(context.Background(), b)
 	b.Close()
 	wg.Wait()
 	if err != nil {
@@ -217,9 +218,9 @@ func serveRecorded(t *testing.T, srv *Server, cli *Client) ([]byte, *Result) {
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		_, serverErr = srv.Serve(rec)
+		_, serverErr = srv.ServeContext(context.Background(), rec)
 	}()
-	res, err := cli.Sync(b)
+	res, err := cli.SyncContext(context.Background(), b)
 	b.Close()
 	wg.Wait()
 	if err != nil {

@@ -718,7 +718,7 @@ func (s *Server) forceClose() {
 // reverse transfer direction, for replicas that cannot dial out. The remote
 // must allow pushes (WithPush). It is PushContext with a background context.
 func (s *Server) Push(conn io.ReadWriter) (*Costs, error) {
-	return s.inner.Push(conn)
+	return s.PushContext(context.Background(), conn)
 }
 
 // PushContext runs Push under ctx with the configured timeouts: the

@@ -223,3 +223,36 @@ func TestConcurrentSyncMetricsMatchSerial(t *testing.T) {
 		t.Errorf("event counts diverge: serial %d, parallel %d", s, p)
 	}
 }
+
+// TestPushRecordsSessionMetrics: Push is PushContext with a background
+// context, so a push counts as a session in the pusher's metrics registry.
+func TestPushRecordsSessionMetrics(t *testing.T) {
+	oldFiles, newFiles := obsCorpus()
+	reg := msync.NewMetricsRegistry()
+	pusher, err := msync.NewServer(newFiles, msync.DefaultConfig(), msync.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := msync.NewServer(oldFiles, msync.DefaultConfig(), msync.WithPush(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rEnd, pEnd := msync.Pipe()
+	errc := make(chan error, 1)
+	go func() {
+		defer rEnd.Close()
+		_, err := replica.Serve(rEnd)
+		errc <- err
+	}()
+	_, err = pusher.Push(pEnd)
+	pEnd.Close()
+	if err != nil {
+		t.Fatalf("push: %v", err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("replica: %v", err)
+	}
+	if got := reg.Snapshot().Counters[obs.MetricSessions]; got != 1 {
+		t.Fatalf("%s = %d after one Push, want 1", obs.MetricSessions, got)
+	}
+}

@@ -129,7 +129,8 @@ func TestSessionHookObservesOutcomes(t *testing.T) {
 // rejecting new dials, and Shutdown returns nil (drained, not forced).
 func TestShutdownDrainsInFlight(t *testing.T) {
 	serverFiles, clientFiles := sessionFiles()
-	srv, err := msync.NewServer(serverFiles, msync.DefaultConfig())
+	reg := msync.NewMetricsRegistry()
+	srv, err := msync.NewServer(serverFiles, msync.DefaultConfig(), msync.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +157,9 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		res = r
 		cliDone <- err
 	}()
+	// Shutdown must find the session accepted: one still in the listen
+	// backlog is dropped with the listener, not drained.
+	waitForAdmitted(t, reg)
 
 	// Begin the graceful shutdown with a generous grace period.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
