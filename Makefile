@@ -3,10 +3,11 @@ GO ?= go
 # fuzz-smoke budget per fuzz target; raise for a longer local fuzzing pass.
 FUZZTIME ?= 10s
 
-# Packages holding native Fuzz* targets (decoders and frame parsers).
+# Packages holding native Fuzz* targets (decoders, frame parsers and the
+# rolling hash's batched Fill).
 FUZZ_PKGS = ./internal/wire ./internal/delta ./internal/huffman \
 	./internal/collection ./internal/rsync ./internal/vcdiff \
-	./internal/merkle ./internal/pubsig ./internal/cdc
+	./internal/merkle ./internal/pubsig ./internal/cdc ./internal/rolling
 
 .PHONY: all build test vet race check fuzz-smoke bench bench-cache bench-store bench-mux bench-manifest bench-pub bench-cdc api api-check loc clean
 

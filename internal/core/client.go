@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"msync/internal/bitio"
 	"msync/internal/cdc"
@@ -55,17 +56,34 @@ type ClientFile struct {
 // one round, mapping each value to the plan entries that sent it. The
 // client scans its old file once per window size, probing this
 // cache-resident set at every position — far cheaper than indexing every
-// position of the old file (which dominated CPU).
+// position of the old file (which dominated CPU). Nearly every probe
+// misses, so a bitset prefilter answers most of them with one bit test
+// before the table is touched.
 type searchSet struct {
-	keys []uint64
-	val  []int32
-	mask uint64
-	over map[uint64][]int32 // additional entries sharing a key (rare)
+	keys   []uint64
+	val    []int32
+	mask   uint64
+	filter []uint64 // prefilter: bit (key·φ)>>fshift is set for every key added
+	fshift uint
+	over   map[uint64][]int32 // additional entries sharing a key (rare)
 }
 
 // emptySlot never collides with a real key: keys are truncated hashes of at
 // most MaxHashBits (≤56) bits.
 const emptySlot = ^uint64(0)
+
+// The prefilter gets filterBitsPerKey bits per key (a ~1.5% false-positive
+// rate), at least filterMinBits and at most filterMaxBits (128 KiB, so even
+// a first round's huge set keeps its filter L2-resident); a round of ~1K
+// keys gets 8 KiB.
+const (
+	filterBitsPerKey = 64
+	filterMinBits    = 1 << 9
+	filterMaxBits    = 1 << 20
+)
+
+// setHashMul spreads keys over the table slots and prefilter bits.
+const setHashMul = 0x9E3779B97F4A7C15
 
 func newSearchSet(n int) *searchSet {
 	ss := &searchSet{}
@@ -73,25 +91,37 @@ func newSearchSet(n int) *searchSet {
 	return ss
 }
 
-// reset re-initializes the set for n expected keys, reusing the backing
-// arrays when they are already large enough.
+// reset re-initializes the set for n expected keys. The pooled backing
+// arrays are resliced to the size n needs, so a round costs O(n) to clear
+// however large an earlier round's set was.
 func (ss *searchSet) reset(n int) {
 	size := 16
 	for size < n*4 {
 		size *= 2
 	}
-	if size < len(ss.keys) {
-		size = len(ss.keys) // keep the larger table; clearing it is cheap
+	fbits := filterMinBits
+	for fbits < n*filterBitsPerKey && fbits < filterMaxBits {
+		fbits *= 2
 	}
-	if size > len(ss.keys) {
-		ss.keys = make([]uint64, size)
-		ss.val = make([]int32, size)
-	}
+	ss.keys = resize(ss.keys, size)
+	ss.val = resize(ss.val, size)
+	ss.filter = resize(ss.filter, fbits/64)
 	ss.mask = uint64(size - 1)
+	ss.fshift = uint(64 - bits.TrailingZeros(uint(fbits)))
 	ss.over = nil
 	for i := range ss.keys {
 		ss.keys[i] = emptySlot
 	}
+	clear(ss.filter)
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // borrowSet takes a recycled search set sized for n keys (allocating on a
@@ -108,12 +138,20 @@ func (c *ClientFile) borrowSet(n int) *searchSet {
 
 func (c *ClientFile) releaseSet(ss *searchSet) { c.setPool = append(c.setPool, ss) }
 
+// mayContain is the prefilter: false means key is certainly absent.
+func (ss *searchSet) mayContain(key uint64) bool {
+	b := key * setHashMul >> ss.fshift
+	return ss.filter[b>>6]&(1<<(b&63)) != 0
+}
+
 func (ss *searchSet) slot(key uint64) uint64 {
-	return (key * 0x9E3779B97F4A7C15) >> 1 & ss.mask
+	return (key * setHashMul) >> 1 & ss.mask
 }
 
 // add associates a plan entry index with a hash value.
 func (ss *searchSet) add(key uint64, entry int32) {
+	b := key * setHashMul >> ss.fshift
+	ss.filter[b>>6] |= 1 << (b & 63)
 	s := ss.slot(key)
 	for {
 		switch ss.keys[s] {
@@ -216,35 +254,9 @@ func (c *ClientFile) AbsorbHashes(payload []byte) error {
 	c.plan = c.buildPlan()
 	hb := c.cfg.hashBits(c.n, c.b)
 
-	// Per-entry scratch: hash values, candidate-slice headers, and the
-	// arena the candidate slices are carved from. The fixed per-entry
-	// stride caps every slice's capacity, so appends (including the
-	// sharded scan's merge) stay in place and rounds reuse one block.
-	ne := len(c.plan.entries)
-	maxAlt := c.cfg.MaxAlternates
-	if maxAlt < 1 {
-		maxAlt = 1
-	}
-	stride := maxAlt
-	if stride < 2 {
-		stride = 2 // continuation probes may record two predicted positions
-	}
-	if cap(c.scratchVals) < ne {
-		c.scratchVals = make([]uint64, ne)
-	}
-	if cap(c.scratchCands) < ne {
-		c.scratchCands = make([][]int32, ne)
-	}
-	if cap(c.candArena) < ne*stride {
-		c.candArena = make([]int32, ne*stride)
-	}
-	vals := c.scratchVals[:ne]
-	cands := c.scratchCands[:ne]
-	arena := c.candArena[:ne*stride]
-	candAt := func(i int) []int32 { return arena[i*stride : i*stride : i*stride+stride] }
-	for i := range cands {
-		cands[i] = nil
-	}
+	c.scratchVals = resize(c.scratchVals, len(c.plan.entries))
+	vals := c.scratchVals
+	cands, candAt, maxAlt := c.candScratch(len(c.plan.entries))
 
 	sizeCount := map[int]int{}
 	for i := range c.plan.entries {
@@ -277,7 +289,8 @@ func (c *ClientFile) AbsorbHashes(payload []byte) error {
 		case kProbe:
 			cands[i] = c.probeCandidates(e, full, candAt(i))
 		case kLocal:
-			cands[i] = c.localCandidates(e, full, candAt(i))
+			cands[i] = candAt(i)
+			c.localCandidates(i, full, cands, maxAlt)
 		default:
 			if e.size > 0 && e.size <= len(c.fOld) {
 				sizeCount[e.size]++
@@ -301,28 +314,46 @@ func (c *ClientFile) AbsorbHashes(payload []byte) error {
 			cands[i] = candAt(i)
 		}
 		for size, set := range sets {
-			c.scanOld(size, uint(hb), set, cands, maxAlt)
+			c.scanOld(size, uint(hb), set, 0, len(c.fOld)-size+1, cands, maxAlt)
 		}
 		for _, set := range sets {
 			c.releaseSet(set)
 		}
 	}
 
+	c.setCandidates(cands)
+	return nil
+}
+
+// candScratch carves a round's per-entry candidate slices from the recycled
+// arena: every cands[i] starts nil, and candAt(i) is entry i's empty slice
+// with a fixed stride of capacity, so appends (including the scan's merge)
+// stay in place and rounds reuse one block. maxAlt is the per-entry cap.
+func (c *ClientFile) candScratch(ne int) (cands [][]int32, candAt func(int) []int32, maxAlt int) {
+	maxAlt = max(c.cfg.MaxAlternates, 1)
+	stride := max(maxAlt, 2) // continuation probes may record two predicted positions
+	c.scratchCands = resize(c.scratchCands, ne)
+	c.candArena = resize(c.candArena, ne*stride)
+	cands, arena := c.scratchCands, c.candArena
+	clear(cands)
+	return cands, func(i int) []int32 { return arena[i*stride : i*stride : i*stride+stride] }, maxAlt
+}
+
+// setCandidates records, in plan order, the entries that found candidates,
+// each starting at its first alternative.
+func (c *ClientFile) setCandidates(cands [][]int32) {
 	c.candEntries = c.candEntries[:0]
 	c.candOff = c.candOff[:0]
 	c.candAlts = c.candAlts[:0]
-	for i := range c.plan.entries {
-		if len(cands[i]) > 0 {
+	c.altNext = c.altNext[:0]
+	for i, cs := range cands {
+		if len(cs) > 0 {
 			c.candEntries = append(c.candEntries, i)
-			c.candOff = append(c.candOff, int(cands[i][0]))
-			c.candAlts = append(c.candAlts, cands[i])
+			c.candOff = append(c.candOff, int(cs[0]))
+			c.candAlts = append(c.candAlts, cs)
+			c.altNext = append(c.altNext, 0)
 		}
 	}
-	c.altNext = c.altNext[:0]
-	for range c.candEntries {
-		c.altNext = append(c.altNext, 0)
-	}
-	return nil
 }
 
 // absorbHashesCDC processes a CDC round's hash section (see emitHashesCDC
@@ -447,35 +478,14 @@ func (c *ClientFile) absorbHashesCDC(payload []byte) error {
 		c.CDCChunks += int64(len(cuts))
 	}
 
-	// Candidate scratch, carved exactly like the halving path so rounds
-	// reuse one arena block.
-	ne := len(p.entries)
-	maxAlt := c.cfg.MaxAlternates
-	if maxAlt < 1 {
-		maxAlt = 1
-	}
-	stride := maxAlt
-	if stride < 2 {
-		stride = 2 // continuation probes may record two predicted positions
-	}
-	if cap(c.scratchCands) < ne {
-		c.scratchCands = make([][]int32, ne)
-	}
-	if cap(c.candArena) < ne*stride {
-		c.candArena = make([]int32, ne*stride)
-	}
-	cands := c.scratchCands[:ne]
-	arena := c.candArena[:ne*stride]
-	for i := range cands {
-		cands[i] = nil
-	}
+	cands, candAt, maxAlt := c.candScratch(len(p.entries))
 	for i := range p.entries {
 		e := &p.entries[i]
 		raw, err := r.ReadBits(uint(e.bits))
 		if err != nil {
 			return fmt.Errorf("core: cdc round hashes: %w", err)
 		}
-		dst := arena[i*stride : i*stride : i*stride+stride]
+		dst := candAt(i)
 		if e.kind == kProbe {
 			cands[i] = c.probeCandidates(e, raw, dst)
 			continue
@@ -512,20 +522,7 @@ func (c *ClientFile) absorbHashesCDC(payload []byte) error {
 		}
 	}
 
-	c.candEntries = c.candEntries[:0]
-	c.candOff = c.candOff[:0]
-	c.candAlts = c.candAlts[:0]
-	for i := range p.entries {
-		if len(cands[i]) > 0 {
-			c.candEntries = append(c.candEntries, i)
-			c.candOff = append(c.candOff, int(cands[i][0]))
-			c.candAlts = append(c.candAlts, cands[i])
-		}
-	}
-	c.altNext = c.altNext[:0]
-	for range c.candEntries {
-		c.altNext = append(c.altNext, 0)
-	}
+	c.setCandidates(cands)
 	return nil
 }
 
@@ -582,7 +579,7 @@ func (c *ClientFile) cutAnchoredCandidates(e *entry, val uint64, cuts []int, dst
 }
 
 // scanMinShard is the floor on window positions per scan shard; below two
-// shards' worth a scan stays serial. The effective minimum is size-adaptive
+// shards' worth a scan runs as one shard. The effective minimum is size-adaptive
 // (see scanShardMin): re-seeding a shard's rolling window via InitAt hashes
 // `size` overlap bytes, so shards must grow with the window for that setup
 // cost to stay amortized.
@@ -603,85 +600,43 @@ func scanShardMin(size int) int {
 	return scanMinShard
 }
 
-// scanOld slides a window of the given size across the old file, probing
-// the round's hash set at every alignment and recording candidate source
-// positions (at most maxAlt per entry). Large scans are sharded across the
-// configured worker pool; the result is bit-identical to the serial scan.
-func (c *ClientFile) scanOld(size int, bits uint, set *searchSet, cands [][]int32, maxAlt int) {
-	positions := len(c.fOld) - size + 1
-	if shards := pool.Shards(c.cfg.Workers, positions, scanShardMin(size)); shards > 1 {
-		c.scanOldSharded(size, bits, set, cands, maxAlt, positions, shards)
-		return
-	}
-	roller := c.fam.Roller(size)
-	roller.Init(c.fOld)
-	for pos := 0; ; pos++ {
-		key := rolling.Truncate(roller.Sum(), bits)
-		if first, extras, ok := set.lookup(key); ok {
-			if len(cands[first]) < maxAlt {
-				cands[first] = append(cands[first], int32(pos))
-			}
-			for _, ei := range extras {
-				if len(cands[ei]) < maxAlt {
-					cands[ei] = append(cands[ei], int32(pos))
-				}
-			}
-		}
-		if pos+size >= len(c.fOld) {
-			break
-		}
-		roller.Roll(c.fOld[pos], c.fOld[pos+size])
-	}
-}
+// scanBatch is how many window hashes the scan kernel takes from the
+// roller per Fill call: enough to amortize the interface dispatch, small
+// enough (8 KiB) to stay in L1 beside the set's prefilter.
+const scanBatch = 1024
+
+// scanBufs recycles the kernel's Fill buffers across scans, shards and
+// files: Fill is an interface call, so a buffer on the stack would escape
+// to the heap on every scan.
+var scanBufs = sync.Pool{New: func() any { return new([scanBatch]uint64) }}
 
 // scanHit is one (entry, position) match found by a scan shard.
 type scanHit struct{ entry, pos int32 }
 
-// scanOldSharded splits the alignment range into contiguous shards, one
-// rolling window each (re-seeded at the shard start via InitAt, reading the
-// size-1 overlap bytes from the previous shard's territory), and merges the
-// per-shard hit lists by position.
+// scanOld slides a window of the given size across the alignments [lo, hi)
+// of the old file, probing set with every hash truncated to bits, and
+// appends each entry's matching positions to cands (at most maxAlt per
+// entry). It is the one old-file scan: global and top-up entries scan the
+// whole file against a round's set, a local entry its neighbourhood against
+// a one-key set.
 //
-// Determinism invariants (the wire stays bit-identical to Workers=1):
+// The alignment range is split into contiguous shards (one when it is
+// small, see scanShardMin), scanned on the configured worker pool and
+// merged in shard order. Determinism invariants (the wire is bit-identical
+// for every worker count):
 //   - shards partition the positions contiguously and in order;
 //   - each shard records hits in scan order — position ascending, and at
-//     one position the set's first entry before its extras, exactly like
-//     the serial loop;
+//     one position the set's first entry before its extras;
 //   - each shard keeps at most maxAlt hits per entry (more can never
 //     survive the merge), and the merge walks shards in shard order
-//     re-applying the cap, so every entry ends with exactly the serial
-//     scan's first maxAlt positions.
-func (c *ClientFile) scanOldSharded(size int, bits uint, set *searchSet, cands [][]int32, maxAlt, positions, shards int) {
+//     re-applying the cap, so every entry ends with exactly its first
+//     maxAlt positions in the range.
+func (c *ClientFile) scanOld(size int, bits uint, set *searchSet, lo, hi int, cands [][]int32, maxAlt int) {
+	positions := hi - lo
+	shards := pool.Shards(c.cfg.Workers, positions, scanShardMin(size))
 	hits := make([][]scanHit, shards)
 	_ = pool.Do(c.cfg.Workers, shards, func(s int) error {
-		lo := pool.Bound(positions, shards, s)
-		hi := pool.Bound(positions, shards, s+1)
-		var out []scanHit
-		var seen map[int32]int // lazily built: hits are rare
-		take := func(ei, pos int32) {
-			if seen == nil {
-				seen = make(map[int32]int, 8)
-			}
-			if seen[ei] < maxAlt {
-				seen[ei]++
-				out = append(out, scanHit{ei, pos})
-			}
-		}
-		roller := c.fam.Roller(size)
-		roller.InitAt(c.fOld, lo)
-		for pos := lo; pos < hi; pos++ {
-			key := rolling.Truncate(roller.Sum(), bits)
-			if first, extras, ok := set.lookup(key); ok {
-				take(first, int32(pos))
-				for _, ei := range extras {
-					take(ei, int32(pos))
-				}
-			}
-			if pos+1 < hi {
-				roller.Roll(c.fOld[pos], c.fOld[pos+size])
-			}
-		}
-		hits[s] = out
+		hits[s] = c.scanShard(size, bits, set, lo+pool.Bound(positions, shards, s), lo+pool.Bound(positions, shards, s+1), maxAlt)
 		return nil
 	})
 	for _, hs := range hits {
@@ -691,6 +646,49 @@ func (c *ClientFile) scanOldSharded(size int, bits uint, set *searchSet, cands [
 			}
 		}
 	}
+}
+
+// scanShard is the scan kernel for the alignments [lo, hi): one rolling
+// window, seeded at lo via InitAt (reading the size-1 overlap bytes from
+// the previous shard's territory), whose hashes arrive scanBatch at a time
+// from Fill and are truncated, prefiltered and probed in one loop.
+func (c *ClientFile) scanShard(size int, bits uint, set *searchSet, lo, hi, maxAlt int) []scanHit {
+	var out []scanHit
+	var seen map[int32]int // lazily built: hits are rare
+	take := func(ei int32, pos int) {
+		if seen == nil {
+			seen = make(map[int32]int, 8)
+		}
+		if seen[ei] < maxAlt {
+			seen[ei]++
+			out = append(out, scanHit{ei, int32(pos)})
+		}
+	}
+	keyMask := rolling.Truncate(^uint64(0), bits)
+	buf := scanBufs.Get().(*[scanBatch]uint64)
+	roller := c.fam.Roller(size)
+	roller.InitAt(c.fOld, lo)
+	for base := lo; base < hi; base += scanBatch {
+		if base > lo {
+			roller.Roll(c.fOld[base-1], c.fOld[base-1+size])
+		}
+		hs := buf[:min(scanBatch, hi-base)]
+		roller.Fill(c.fOld, base, hs)
+		for i, h := range hs {
+			key := h & keyMask
+			if !set.mayContain(key) {
+				continue
+			}
+			if first, extras, ok := set.lookup(key); ok {
+				take(first, base+i)
+				for _, ei := range extras {
+					take(ei, base+i)
+				}
+			}
+		}
+	}
+	scanBufs.Put(buf)
+	return out
 }
 
 // probeCandidates checks the (at most two) predicted positions for a
@@ -721,42 +719,21 @@ func (c *ClientFile) probeCandidates(e *entry, val uint64, dst []int32) []int32 
 	return out
 }
 
-// localCandidates scans a neighborhood of the predicted position, appending
-// into the caller's (arena-backed) dst.
-func (c *ClientFile) localCandidates(e *entry, val uint64, dst []int32) []int32 {
+// localCandidates scans a neighborhood of entry i's predicted position for
+// its hash val, appending into cands[i] (arena-backed).
+func (c *ClientFile) localCandidates(i int, val uint64, cands [][]int32, maxAlt int) {
+	e := &c.plan.entries[i]
 	m := c.matches[e.matchIdx]
 	pred := m.clientOff + (e.off - m.serverOff)
-	lo := pred - c.cfg.LocalRadius
-	hi := pred + c.cfg.LocalRadius
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(c.fOld)-e.size {
-		hi = len(c.fOld) - e.size
-	}
+	lo := max(pred-c.cfg.LocalRadius, 0)
+	hi := min(pred+c.cfg.LocalRadius, len(c.fOld)-e.size)
 	if hi < lo || e.size == 0 || e.size > len(c.fOld) {
-		return nil
+		return
 	}
-	maxAlt := c.cfg.MaxAlternates
-	if maxAlt < 1 {
-		maxAlt = 1
-	}
-	out := dst
-	roller := c.fam.Roller(e.size)
-	roller.Init(c.fOld[lo:])
-	for pos := lo; ; pos++ {
-		if rolling.Truncate(roller.Sum(), uint(e.bits)) == val {
-			out = append(out, int32(pos))
-			if len(out) >= maxAlt {
-				break
-			}
-		}
-		if pos >= hi || pos+e.size >= len(c.fOld) {
-			break
-		}
-		roller.Roll(c.fOld[pos], c.fOld[pos+e.size])
-	}
-	return out
+	set := c.borrowSet(1)
+	set.add(val, int32(i))
+	c.scanOld(e.size, uint(e.bits), set, lo, hi+1, cands, maxAlt)
+	c.releaseSet(set)
 }
 
 // EmitReply writes the candidate bitmap and the first verification batch.

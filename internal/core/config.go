@@ -119,7 +119,7 @@ type Config struct {
 	// Workers bounds the parallelism of CPU-heavy engine work: sharded
 	// old-file scans and batched verification hashing (and, at the
 	// collection layer, per-file engine fan-out). 0 (the default) means
-	// runtime.GOMAXPROCS(0); 1 selects the exact serial legacy path. This
+	// runtime.GOMAXPROCS(0); 1 runs everything on the calling goroutine. This
 	// is purely a local execution knob — wire output is bit-identical for
 	// every value, and it is never serialized into the protocol config.
 	Workers int

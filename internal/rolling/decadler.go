@@ -120,10 +120,6 @@ func (d *DecAdler) Roller(window int) WindowRoller {
 	return &adlerRoller{d: d, window: uint32(window)}
 }
 
-func (r *adlerRoller) Init(data []byte) {
-	r.a, r.b = r.d.components(data[:r.window])
-}
-
 // InitAt seeds the window at position pos of data; see WindowRoller.InitAt.
 func (r *adlerRoller) InitAt(data []byte, pos int) {
 	r.a, r.b = r.d.components(data[pos : pos+int(r.window)])
@@ -136,3 +132,24 @@ func (r *adlerRoller) Roll(out, in byte) {
 }
 
 func (r *adlerRoller) Sum() uint64 { return interleave(r.a, r.b) }
+
+// Fill writes the hashes of the windows at pos, pos+1, …, pos+len(out)-1
+// of data into out; see WindowRoller.Fill.
+func (r *adlerRoller) Fill(data []byte, pos int, out []uint64) {
+	if len(out) == 0 {
+		return
+	}
+	t, w := &r.d.table, r.window
+	a, b := r.a, r.b
+	out[0] = interleave(a, b)
+	enter := data[pos+int(w) : pos+int(w)+len(out)-1]
+	leave := data[pos : pos+len(enter)]
+	rest := out[1 : 1+len(enter)]
+	for i, in := range enter {
+		to, ti := t[leave[i]], t[in]
+		a += ti - to
+		b += a - w*to
+		rest[i] = spread(a) | spread(b)<<1 // interleave, inlined
+	}
+	r.a, r.b = a, b
+}

@@ -13,7 +13,7 @@ func TestDecAdlerRollEqualsRecompute(t *testing.T) {
 		window := int(wRaw%60) + 1
 		data := randBytes(rng, window+200)
 		roller := d.Roller(window)
-		roller.Init(data)
+		roller.InitAt(data, 0)
 		for i := 0; i+window < len(data); i++ {
 			if roller.Sum() != d.Hash(data[i:i+window]) {
 				return false

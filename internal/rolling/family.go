@@ -5,18 +5,24 @@ import "fmt"
 // WindowRoller computes the hash of a sliding fixed-size window in O(1) per
 // step.
 type WindowRoller interface {
-	// Init computes the hash of the first window of data.
-	Init(data []byte)
 	// InitAt seeds the window at [pos, pos+window) of data, exactly as if
-	// the roller had been initialized at data's start and rolled forward
-	// pos times. It costs one window's worth of hashing — the entry point
-	// for parallel shard scans, where each shard re-seeds at its own start
-	// instead of rolling through its predecessors' territory.
+	// the roller had been seeded at data's start and rolled forward pos
+	// times. It costs one window's worth of hashing — the entry point for
+	// shard scans, where each shard seeds at its own start instead of
+	// rolling through its predecessors' territory.
 	InitAt(data []byte, pos int)
 	// Roll slides the window one byte: out leaves, in enters.
 	Roll(out, in byte)
 	// Sum returns the hash of the current window.
 	Sum() uint64
+	// Fill writes the hashes of the windows at pos, pos+1, …,
+	// pos+len(out)-1 of data into out, in one concrete loop: the batched
+	// form of Sum-then-Roll, so a caller pays one interface call per batch
+	// instead of two per position. The roller must hold the window at pos
+	// on entry (after InitAt, Roll or a previous Fill); it returns
+	// holding the window at pos+len(out)-1, so Sum equals the last value
+	// written and Roll continues from there. An empty out is a no-op.
+	Fill(data []byte, pos int, out []uint64)
 }
 
 // Family is a rolling, decomposable, bit-prefix-decomposable hash family —

@@ -144,7 +144,7 @@ func invMod64(a uint64) uint64 {
 type Roller struct {
 	p      *Poly
 	window int
-	powTop uint64 // base^(window-1)
+	powWin uint64 // base^window
 	h      uint64
 }
 
@@ -153,7 +153,7 @@ func (p *Poly) NewRoller(window int) *Roller {
 	if window <= 0 {
 		panic("rolling: window must be positive")
 	}
-	return &Roller{p: p, window: window, powTop: p.Pow(window - 1)}
+	return &Roller{p: p, window: window, powWin: p.Pow(window)}
 }
 
 // Window reports the window size.
@@ -170,9 +170,30 @@ func (r *Roller) InitAt(data []byte, pos int) {
 }
 
 // Roll slides the window one byte: out leaves on the left, in enters on the
-// right.
+// right. The step h·base + (T[in] − T[out]·base^window) equals
+// (h − T[out]·base^(window-1))·base + T[in] mod 2^64, but only one multiply
+// and one add sit on the h dependency chain.
 func (r *Roller) Roll(out, in byte) {
-	r.h = (r.h-r.p.table[out]*r.powTop)*r.p.base + r.p.table[in]
+	r.h = r.h*r.p.base + (r.p.table[in] - r.p.table[out]*r.powWin)
+}
+
+// Fill writes the hashes of the windows at pos, pos+1, …, pos+len(out)-1
+// of data into out; see WindowRoller.Fill.
+func (r *Roller) Fill(data []byte, pos int, out []uint64) {
+	if len(out) == 0 {
+		return
+	}
+	t, base, powWin := &r.p.table, r.p.base, r.powWin
+	h := r.h
+	out[0] = h
+	enter := data[pos+r.window : pos+r.window+len(out)-1]
+	leave := data[pos : pos+len(enter)]
+	rest := out[1 : 1+len(enter)]
+	for i, in := range enter {
+		h = h*base + (t[in] - t[leave[i]]*powWin)
+		rest[i] = h
+	}
+	r.h = h
 }
 
 // Sum returns the hash of the current window.

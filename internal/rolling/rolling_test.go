@@ -203,7 +203,7 @@ func TestInitAtEqualsRolledInit(t *testing.T) {
 		}
 		for _, window := range []int{1, 16, 128} {
 			rolled := fam.Roller(window)
-			rolled.Init(data)
+			rolled.InitAt(data, 0)
 			for pos := 0; pos+window <= len(data); pos++ {
 				if pos%257 == 0 { // sample offsets, keep the test fast
 					seeded := fam.Roller(window)
@@ -253,12 +253,14 @@ func BenchmarkAdlerRoll(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowScan measures full windowed-scan throughput (Init once,
-// then roll across the buffer, consuming Sum at every position) at the
-// protocol's extreme block sizes — the unit of work that scanOld sharding
-// splits across workers. Comparing the per-byte rates at b_min and b_max
-// against BenchmarkSeedShard quantifies the overlap cost a shard pays to
-// re-seed its window.
+// BenchmarkWindowScan measures full windowed-scan throughput (seed once,
+// then hash every window of the buffer) at the protocol's extreme block
+// sizes — the unit of work that scanOld sharding splits across workers.
+// The roll arms consume Sum and call Roll at every position through the
+// interface; the fill arms take the same hashes from Fill in batches of
+// 1024, the way the scan kernel does. Comparing the per-byte rates at b_min
+// and b_max against BenchmarkSeedShard quantifies the overlap cost a shard
+// pays to re-seed its window.
 func BenchmarkWindowScan(b *testing.B) {
 	data := randBytes(rand.New(rand.NewSource(3)), 1<<20)
 	for _, tc := range []struct {
@@ -276,12 +278,33 @@ func BenchmarkWindowScan(b *testing.B) {
 			var sink uint64
 			for i := 0; i < b.N; i++ {
 				r := fam.Roller(tc.window)
-				r.Init(data)
+				r.InitAt(data, 0)
 				for pos := 0; pos+tc.window < len(data); pos++ {
 					sink ^= r.Sum()
 					r.Roll(data[pos], data[pos+tc.window])
 				}
 				sink ^= r.Sum()
+			}
+			benchSink = sink
+		})
+		b.Run(fmt.Sprintf("%s-b%d-fill", tc.fam, tc.window), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			buf := make([]uint64, 1024)
+			positions := len(data) - tc.window + 1
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				r := fam.Roller(tc.window)
+				r.InitAt(data, 0)
+				for pos := 0; pos < positions; pos += len(buf) {
+					if pos > 0 {
+						r.Roll(data[pos-1], data[pos-1+tc.window])
+					}
+					out := buf[:min(len(buf), positions-pos)]
+					r.Fill(data, pos, out)
+					for _, h := range out {
+						sink ^= h
+					}
+				}
 			}
 			benchSink = sink
 		})
