@@ -241,6 +241,31 @@ func legacyScenarios() []legacyScenario {
 			cli.BaseVersion = 3
 			return runRecorded(t, srv, cli)
 		}},
+		{name: "mux_pull", run: func(t *testing.T) recording {
+			// Multiplexed pull (hello extension 2): MUX_ACK, then CYCLE and
+			// STREAM framing around the per-file exchanges.
+			v1, v2 := corpus.EmacsProfile(0.08).Generate(5)
+			srv, err := NewServer(v2.Map(), core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.MuxStreams = 4
+			cli := NewClient(v1.Map())
+			cli.MuxStreams = 4
+			return runRecorded(t, srv, cli)
+		}},
+		{name: "cdc_pull", run: func(t *testing.T) recording {
+			// CDC map-mode request (hello extension 4): the granted mode
+			// rides as the config frame's trailing field.
+			v1, v2 := corpus.EmacsProfile(0.08).Generate(5)
+			srv, err := NewServer(v2.Map(), core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli := NewClient(v1.Map())
+			cli.MapMode = core.MapCDC
+			return runRecorded(t, srv, cli)
+		}},
 	}
 }
 
@@ -335,9 +360,8 @@ func TestLegacyWireDeterministic(t *testing.T) {
 
 // TestCostsMatchPipe: Costs is exactly the bytes on the pipe. For every
 // recorded scenario, plus a pull whose VERDICTS frame carries enough FULL
-// payload to need a longer frame header than its control bytes alone, and a
-// multiplexed pull, both ends' per-direction totals equal the recorded
-// streams.
+// payload to need a longer frame header than its control bytes alone, both
+// ends' per-direction totals equal the recorded streams.
 func TestCostsMatchPipe(t *testing.T) {
 	scenarios := append(legacyScenarios(),
 		legacyScenario{name: "full_heavy", run: func(t *testing.T) recording {
@@ -353,17 +377,6 @@ func TestCostsMatchPipe(t *testing.T) {
 				t.Fatal(err)
 			}
 			return runRecorded(t, srv, NewClient(nil))
-		}},
-		legacyScenario{name: "mux_pull", run: func(t *testing.T) recording {
-			v1, v2 := corpus.EmacsProfile(0.08).Generate(5)
-			srv, err := NewServer(v2.Map(), core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.MuxStreams = 4
-			cli := NewClient(v1.Map())
-			cli.MuxStreams = 4
-			return runRecorded(t, srv, cli)
 		}},
 	)
 	for _, sc := range scenarios {
