@@ -9,7 +9,7 @@ FUZZ_PKGS = ./internal/wire ./internal/delta ./internal/huffman \
 	./internal/collection ./internal/rsync ./internal/vcdiff \
 	./internal/merkle ./internal/pubsig ./internal/cdc ./internal/rolling
 
-.PHONY: all build test vet race check fuzz-smoke bench bench-cache bench-store bench-mux bench-manifest bench-pub bench-cdc api api-check loc clean
+.PHONY: all build test vet race check perfbench-check fuzz-smoke bench bench-cache bench-store bench-mux bench-manifest bench-pub bench-cdc api api-check loc clean
 
 all: check
 
@@ -35,9 +35,15 @@ race:
 # multiplexed sessions concurrently) under vet and the race detector on their
 # own, so bugs there fail fast with a focused report before the full suite
 # runs.
-check: vet race fuzz-smoke api-check
+check: vet race fuzz-smoke api-check perfbench-check
 	$(GO) vet ./internal/sigcache/ ./internal/dirio/ ./internal/collection/ ./internal/store/ ./internal/obs/ ./internal/bench/ ./internal/pubsig/ ./internal/cdc/ ./internal/corpus/
 	$(GO) test -race ./internal/sigcache/ ./internal/dirio/ ./internal/collection/ ./internal/store/ ./internal/obs/ ./internal/bench/ ./internal/pubsig/ ./internal/cdc/ ./internal/corpus/
+
+# perfbench-check vets and tests the benchmark module (perfbench/), a
+# separate Go module that ./... never reaches, so an internal API change that
+# breaks the benchmark build fails here.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # api-check diffs the package's exported surface against the committed
 # API.txt; regenerate with `make api` after an intentional API change.

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		got, err := plan.Reconstruct(old, func(off, l int) ([]byte, error) {
+		got, err := plan.Reconstruct(context.Background(), old, func(_ context.Context, off, l int) ([]byte, error) {
 			rangeBytes += l
 			return cur[off : off+l], nil // stands in for an HTTP range request
 		})

@@ -242,7 +242,7 @@ func AblateManifest(opts Options) *Table {
 		Title:   "Ablation — change detection: flat manifest vs merkle tree",
 		Columns: []string{"manifest KB", "tree KB", "changed", "files"},
 	}
-	nFiles := maxI(64, int(800*opts.Scale))
+	nFiles := max(64, int(800*opts.Scale))
 	rng := rand.New(rand.NewSource(opts.Seed))
 	base := make(map[string][]byte, nFiles)
 	// Rows change the first files in creation order: deterministic, and
@@ -274,13 +274,6 @@ func AblateManifest(opts Options) *Table {
 	t.Notes = append(t.Notes,
 		"control-phase bytes only; the tree costs O(changed*log n), the manifest O(n)")
 	return t
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // AblateDecomposable isolates the decomposable-hash saving on map-phase

@@ -17,6 +17,7 @@ import (
 	"msync/internal/md4"
 	"msync/internal/merkle"
 	"msync/internal/obs"
+	"msync/internal/pool"
 	"msync/internal/stats"
 	"msync/internal/transport"
 	"msync/internal/wire"
@@ -812,7 +813,7 @@ func respond(workers int, engines []clientFile, frameType byte, payload []byte, 
 		perEngine[j.idx] += int64(len(j.section))
 	}
 	replies := make([][]byte, len(jobs)) // nil = no reply for this file
-	err = parallelFiles(workers, len(jobs), func(k int) error {
+	err = pool.Do(workers, len(jobs), func(k int) error {
 		cf := &engines[jobs[k].idx]
 		eng := cf.engine
 		if frameType == wire.FrameRoundHashes {

@@ -9,6 +9,7 @@ import (
 	"msync/internal/core"
 	"msync/internal/delta"
 	"msync/internal/obs"
+	"msync/internal/pool"
 	"msync/internal/stats"
 	"msync/internal/transport"
 	"msync/internal/wire"
@@ -235,7 +236,7 @@ func (s *Server) emit(stm *serverStream, inner byte) ([]byte, error) {
 	switch inner {
 	case wire.FrameRoundHashes:
 		sections := make([][]byte, len(stm.active))
-		parallelFiles(s.cfg.Workers, len(stm.active), func(k int) error {
+		pool.Do(s.cfg.Workers, len(stm.active), func(k int) error {
 			sections[k] = stm.files[stm.active[k]].engine.EmitHashes()
 			return nil
 		})
@@ -255,7 +256,7 @@ func (s *Server) emit(stm *serverStream, inner byte) ([]byte, error) {
 		// streams keep running rounds in the same cycle — the overlap
 		// multiplexing exists for.
 		sections := make([][]byte, len(stm.files))
-		parallelFiles(s.cfg.Workers, len(stm.files), func(i int) error {
+		pool.Do(s.cfg.Workers, len(stm.files), func(i int) error {
 			sections[i] = stm.files[i].engine.EmitDelta()
 			return nil
 		})
@@ -629,7 +630,7 @@ func (cs *clientStream) handle(inner byte, payload []byte, workers int) error {
 		}
 		cs.results = make([][]byte, len(cs.files))
 		failed := make([]bool, len(cs.files))
-		err = parallelFiles(workers, len(cs.files), func(i int) error {
+		err = pool.Do(workers, len(cs.files), func(i int) error {
 			data, err := cs.files[i].engine.ApplyDelta(sections[i])
 			switch {
 			case err == nil:
@@ -776,7 +777,7 @@ func consumeStreams(ctx context.Context, fr *wire.FrameReader, fw *wire.FrameWri
 		if len(frames) == 1 {
 			inner = workers
 		}
-		if err := parallelFiles(workers, len(frames), func(k int) error {
+		if err := pool.Do(workers, len(frames), func(k int) error {
 			return streams[frames[k].ID].handle(frames[k].Type, frames[k].Payload, inner)
 		}); err != nil {
 			return err

@@ -1,7 +1,6 @@
 package collection
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -735,15 +734,6 @@ func (s *Server) sendVerdicts(fw *wire.FrameWriter, costs *stats.Costs, verdicts
 	return nil
 }
 
-// parallelFiles runs fn(0..n-1) across the session's worker budget; per-file
-// engines are independent, so their CPU-heavy work parallelizes freely. The
-// first error wins. Results are always gathered into index-addressed slots by
-// the callers, so reply and section ordering is identical for every worker
-// count.
-func parallelFiles(workers, n int, fn func(i int) error) error {
-	return pool.Do(workers, n, fn)
-}
-
 // absorbReplies processes one client reply frame (initial replies or
 // subsequent batches) and returns the files that still need another batch.
 func (s *Server) absorbReplies(engines []syncFile, payload []byte, first bool) ([]int, error) {
@@ -752,7 +742,7 @@ func (s *Server) absorbReplies(engines []syncFile, payload []byte, first bool) (
 		return nil, err
 	}
 	mores := make([]bool, len(jobs))
-	err = parallelFiles(s.cfg.Workers, len(jobs), func(k int) error {
+	err = pool.Do(s.cfg.Workers, len(jobs), func(k int) error {
 		var more bool
 		var err error
 		if first {
@@ -776,24 +766,4 @@ func (s *Server) absorbReplies(engines []syncFile, payload []byte, first bool) (
 		}
 	}
 	return pending, nil
-}
-
-// SelfTest verifies that the server's collection round-trips through a
-// compression cycle; used by integration tests and the CLI's --check mode.
-func (s *Server) SelfTest() error {
-	src, manifest, _, err := s.sessionState()
-	if err != nil {
-		return err
-	}
-	for _, e := range manifest {
-		data, err := src.Load(e.Path)
-		if err != nil {
-			return fmt.Errorf("collection: self-test failed for %q: %w", e.Path, err)
-		}
-		dec, err := delta.Decompress(delta.Compress(data))
-		if err != nil || !bytes.Equal(dec, data) {
-			return fmt.Errorf("collection: self-test failed for %q", e.Path)
-		}
-	}
-	return nil
 }

@@ -270,13 +270,6 @@ func (p SourceTreeProfile) Generate(seed int64) (v1, v2 *Tree) {
 	return v1, v2
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // LogAppendProfile models append-mostly files (logs, journals): version 2
 // is version 1 plus appended records, with an occasional small in-place
 // touch-up (a rotated header, a rewritten summary line) — the classic

@@ -29,7 +29,7 @@ type WebProfile struct {
 // (scale 1.0 ≈ 1000 pages × ~5 KB; the paper's full scale is 10).
 func DefaultWebProfile(scale float64) WebProfile {
 	return WebProfile{
-		Pages:      maxInt(8, int(1000*scale)),
+		Pages:      max(8, int(1000*scale)),
 		MeanSize:   5 * 1024,
 		PStatic:    0.35,
 		PDaily:     0.30,
@@ -166,10 +166,3 @@ func (wc *WebCollection) Version(day int) *Tree {
 
 // Pages reports the page count.
 func (wc *WebCollection) Pages() int { return len(wc.pages) }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -149,9 +149,6 @@ func (p *Plan) firstBatch() []Group {
 // complete.
 func (p *Plan) Groups() []Group { return p.current }
 
-// NumTests reports the number of tests in the current batch.
-func (p *Plan) NumTests() int { return len(p.current) }
-
 // Absorb records pass/fail results for the current batch (one bool per
 // group, in Groups() order) and computes the next batch. It returns true if
 // another batch is needed.

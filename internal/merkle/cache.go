@@ -11,8 +11,8 @@ import (
 // hashes its collection into a trie once per depth instead of once per
 // session. Safe for concurrent use.
 //
-// A cache created with NewTreeCacheAt additionally persists each built tree
-// to disk keyed by the manifest fingerprint, and on the next process start
+// A cache created with a directory additionally persists each built tree to
+// disk keyed by the manifest fingerprint, and on the next process start
 // restores it — either verbatim (fingerprint match) or by incrementally
 // updating the stale tree from the entry-set diff, which costs O(changed ·
 // depth) hashes instead of an O(n) rebuild.
@@ -24,15 +24,10 @@ type TreeCache struct {
 	trees   map[int]*Tree
 }
 
-// NewTreeCache creates an in-memory cache over entries, which must not
-// change afterwards.
-func NewTreeCache(entries []Entry) *TreeCache {
-	return &TreeCache{entries: entries, trees: make(map[int]*Tree)}
-}
-
-// NewTreeCacheAt creates a cache over entries whose trees persist in dir
-// (the signature-cache directory), keyed by fp — the digest of the manifest
-// the entries came from. An empty dir disables persistence.
+// NewTreeCacheAt creates a cache over entries, which must not change
+// afterwards, whose trees persist in dir (the signature-cache directory),
+// keyed by fp — the digest of the manifest the entries came from. An empty
+// dir keeps the cache in memory only.
 func NewTreeCacheAt(entries []Entry, fp [md4.Size]byte, dir string) *TreeCache {
 	return &TreeCache{entries: entries, fp: fp, dir: dir, trees: make(map[int]*Tree)}
 }

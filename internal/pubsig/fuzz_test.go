@@ -2,6 +2,7 @@ package pubsig
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -30,7 +31,7 @@ func FuzzSignature(f *testing.F) {
 		// With no old file nothing can match, so the plan's fetch volume
 		// equals the declared file length; bound it before allocating.
 		if len(old) == 0 && plan.FetchBytes() < 1<<20 {
-			out, err := plan.Reconstruct(nil, func(off, length int) ([]byte, error) {
+			out, err := plan.Reconstruct(context.Background(), nil, func(_ context.Context, off, length int) ([]byte, error) {
 				return make([]byte, length), nil
 			})
 			if err == nil && len(out) != plan.FetchBytes() {

@@ -216,28 +216,18 @@ func NewPlan(old, sig []byte) (*Plan, error) {
 }
 
 // Fetcher retrieves a byte range of the current file (e.g. an HTTP range
-// request).
-type Fetcher func(off, length int) ([]byte, error)
-
-// ContextFetcher is a Fetcher that honors cancellation and deadlines.
-type ContextFetcher func(ctx context.Context, off, length int) ([]byte, error)
+// request), honoring cancellation and deadlines.
+type Fetcher func(ctx context.Context, off, length int) ([]byte, error)
 
 // ErrVerifyFailed reports that the reconstructed file failed the whole-file
 // check (stale signature or block-hash collision); re-fetch the whole file.
 var ErrVerifyFailed = errors.New("pubsig: reconstructed file failed whole-file check")
 
 // Reconstruct executes the plan: local blocks are copied from old, missing
-// ranges fetched, and the result verified against the whole-file hash.
-func (p *Plan) Reconstruct(old []byte, fetch Fetcher) ([]byte, error) {
-	return p.ReconstructContext(context.Background(), old, func(_ context.Context, off, length int) ([]byte, error) {
-		return fetch(off, length)
-	})
-}
-
-// ReconstructContext is Reconstruct under a context: the context is checked
-// between fetches and passed through to each one, so a canceled sync stops
-// instead of draining the remaining ranges.
-func (p *Plan) ReconstructContext(ctx context.Context, old []byte, fetch ContextFetcher) ([]byte, error) {
+// ranges fetched, and the result verified against the whole-file hash. The
+// context is checked between fetches and passed through to each one, so a
+// canceled sync stops instead of draining the remaining ranges.
+func (p *Plan) Reconstruct(ctx context.Context, old []byte, fetch Fetcher) ([]byte, error) {
 	s := p.sig
 	out := make([]byte, s.fileLen)
 	for i, off := range p.localOff {
@@ -279,7 +269,7 @@ func Sync(old, cur []byte, blockSize int) (out []byte, downBytes int, err error)
 	if err != nil {
 		return nil, 0, err
 	}
-	out, err = plan.Reconstruct(old, func(off, length int) ([]byte, error) {
+	out, err = plan.Reconstruct(context.Background(), old, func(_ context.Context, off, length int) ([]byte, error) {
 		return cur[off : off+length], nil
 	})
 	if errors.Is(err, ErrVerifyFailed) {

@@ -2,6 +2,7 @@ package pubsig
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func TestPlanFetchesOnlyChangedRegions(t *testing.T) {
 		t.Fatalf("expected one coalesced range, got %v", plan.Ranges)
 	}
 	fetched := 0
-	out, err := plan.Reconstruct(old, func(off, l int) ([]byte, error) {
+	out, err := plan.Reconstruct(context.Background(), old, func(_ context.Context, off, l int) ([]byte, error) {
 		fetched += l
 		return cur[off : off+l], nil
 	})
@@ -99,11 +100,11 @@ func TestFetcherErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("404")
-	if _, err := plan.Reconstruct(old, func(off, l int) ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := plan.Reconstruct(context.Background(), old, func(_ context.Context, off, l int) ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	// Short reads are rejected.
-	if _, err := plan.Reconstruct(old, func(off, l int) ([]byte, error) { return cur[off : off+l-1], nil }); err == nil {
+	if _, err := plan.Reconstruct(context.Background(), old, func(_ context.Context, off, l int) ([]byte, error) { return cur[off : off+l-1], nil }); err == nil {
 		t.Fatal("short fetch accepted")
 	}
 }
@@ -117,7 +118,7 @@ func TestStaleSignatureDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = plan.Reconstruct(old, func(off, l int) ([]byte, error) {
+	_, err = plan.Reconstruct(context.Background(), old, func(_ context.Context, off, l int) ([]byte, error) {
 		if off+l > len(newer) {
 			l = len(newer) - off
 		}
@@ -183,7 +184,7 @@ func TestWholeFileHashBackstopsBlockCollisions(t *testing.T) {
 	if plan.FetchBytes() != 0 {
 		t.Fatalf("collided blocks not matched locally: %d bytes to fetch", plan.FetchBytes())
 	}
-	_, err = plan.Reconstruct(a, func(off, l int) ([]byte, error) {
+	_, err = plan.Reconstruct(context.Background(), a, func(_ context.Context, off, l int) ([]byte, error) {
 		t.Fatal("fetcher called for a fully-local plan")
 		return nil, nil
 	})
@@ -196,7 +197,7 @@ func TestWholeFileHashBackstopsBlockCollisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Reconstruct(a, nil)
+	out, err := plan.Reconstruct(context.Background(), a, nil)
 	if err != nil || !bytes.Equal(out, a) {
 		t.Fatalf("honest signature rejected: %v", err)
 	}

@@ -336,7 +336,7 @@ func (s *Syncer) syncFile(ctx context.Context, res *SyncResult, e collection.Man
 	res.BytesHashedLocal += int64(len(old)) // the rolling scan's work
 	rangeStart := res.RangeBytes
 	rangeFetch := HTTPRangeFetcher(s.client(), strings.TrimSuffix(s.BaseURL, "/")+blobPath)
-	out, err := plan.ReconstructContext(ctx, old, func(ctx context.Context, off, length int) ([]byte, error) {
+	out, err := plan.Reconstruct(ctx, old, func(ctx context.Context, off, length int) ([]byte, error) {
 		data, err := rangeFetch(ctx, off, length)
 		res.RangeBytes += int64(len(data))
 		res.RangesFetched++

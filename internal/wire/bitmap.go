@@ -52,6 +52,3 @@ func DecodeBitmap(r *bitio.Reader, n int) (*Bitmap, error) {
 	}
 	return b, nil
 }
-
-// EncodedBits reports the wire size in bits of a bitmap of length n.
-func EncodedBits(n int) int { return n }

@@ -371,15 +371,22 @@ type FrameReader struct {
 	bytes  int64
 }
 
+// readBufSize is the FrameReader's buffer size, and the largest payload
+// ReadFrame allocates before its bytes arrive.
+const readBufSize = 64 << 10
+
 // NewFrameReader returns a FrameReader wrapping r.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: bufio.NewReaderSize(r, 64<<10)}
+	return &FrameReader{r: bufio.NewReaderSize(r, readBufSize)}
 }
 
 // ReadFrame reads the next frame. The payload is freshly allocated. A
 // length prefix with an overlong varint encoding fails with
 // ErrVarintOverflow instead of desynchronizing the stream; a stream that
-// ends inside the header or payload fails with io.ErrUnexpectedEOF.
+// ends inside the header or payload fails with io.ErrUnexpectedEOF. The
+// length prefix is the peer's claim, so a payload longer than the buffer
+// grows as its bytes arrive: a peer that declares a huge frame and stalls
+// holds memory in proportion to what it sent, not to what it declared.
 func (fr *FrameReader) ReadFrame() (frameType byte, payload []byte, err error) {
 	frameType, err = fr.r.ReadByte()
 	if err != nil {
@@ -395,13 +402,34 @@ func (fr *FrameReader) ReadFrame() (frameType byte, payload []byte, err error) {
 	if size > MaxFrameSize {
 		return 0, nil, ErrFrameTooLarge
 	}
-	payload = make([]byte, size)
-	if _, err = io.ReadFull(fr.r, payload); err != nil {
+	if payload, err = readPayload(fr.r, int(size)); err != nil {
 		return 0, nil, err
 	}
 	fr.frames++
 	fr.bytes += 1 + int64(sizeLen) + int64(size)
 	return frameType, payload, nil
+}
+
+// readPayload reads an n-byte payload with io.ReadFull's errors. Up to
+// readBufSize it is one exact allocation; past that the slice doubles, at
+// most to n, each time the bytes read so far fill it.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	p := make([]byte, min(n, readBufSize))
+	got := 0
+	for {
+		m, err := io.ReadFull(r, p[got:])
+		got += m
+		if err == io.EOF && got > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if got == n {
+			return p, nil
+		}
+		p = append(p, make([]byte, min(got, n-got))...)
+	}
 }
 
 // readUvarint reads a varint byte-by-byte so overlong encodings surface as

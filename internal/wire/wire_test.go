@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -103,8 +105,11 @@ func TestParserEmptyReads(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
-	payloads := [][]byte{nil, []byte("a"), bytes.Repeat([]byte("xyz"), 10000)}
-	types := []byte{FrameHello, FrameDelta, FrameRoundHashes}
+	// The last three straddle the reader's buffer size, past which a payload
+	// grows as it arrives.
+	payloads := [][]byte{nil, []byte("a"), bytes.Repeat([]byte("xyz"), 10000),
+		pattern(readBufSize), pattern(readBufSize + 1), pattern(5*readBufSize + 3)}
+	types := []byte{FrameHello, FrameDelta, FrameRoundHashes, FrameDelta, FrameFull, FrameVerdicts}
 	for i, p := range payloads {
 		if err := fw.WriteFrame(types[i], p); err != nil {
 			t.Fatal(err)
@@ -213,6 +218,38 @@ func TestFrameTruncatedPayload(t *testing.T) {
 	fr := NewFrameReader(bytes.NewReader(raw[:len(raw)-3]))
 	if _, _, err := fr.ReadFrame(); err != io.ErrUnexpectedEOF {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// pattern returns n bytes that differ at nearby offsets, so a payload
+// reassembled out of order does not compare equal.
+func pattern(n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(i*7 + i>>8)
+	}
+	return p
+}
+
+// TestFrameDeclaredHugeStalls: a header declaring MaxFrameSize followed by a
+// few payload bytes and EOF fails with io.ErrUnexpectedEOF, and the reader
+// allocates in proportion to the bytes that arrived, not the declared size.
+func TestFrameDeclaredHugeStalls(t *testing.T) {
+	var hdr bytes.Buffer
+	hdr.WriteByte(FrameVerdicts)
+	var size [binary.MaxVarintLen64]byte
+	hdr.Write(size[:binary.PutUvarint(size[:], MaxFrameSize)])
+	hdr.WriteString("a few payload bytes")
+	fr := NewFrameReader(&hdr)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := fr.ReadFrame()
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 4<<20 {
+		t.Fatalf("allocated %d bytes for a stalled frame that declared %d", d, MaxFrameSize)
 	}
 }
 
